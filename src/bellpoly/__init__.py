@@ -13,7 +13,6 @@ from . import combinatorics as _combinatorics
 from .bell_numbers import (
     BellTable,
     TruncatedEGF,
-    bell_first_order,
     bell_via_egf,
     bell_via_recursion,
     egf_iterate,
@@ -38,8 +37,6 @@ from .polynomial import (
     difference_polynomial,
     interpolate_bell_polynomial,
     leading_coefficient,
-    poly_eval,
-    poly_shift,
     verify_theorem,
 )
 from .rational_poly import RationalPolynomial
@@ -57,7 +54,6 @@ __all__ = [
     "StirlingTable",
     "TruncatedEGF",
     "asymptotic_report",
-    "bell_first_order",
     "bell_via_egf",
     "bell_via_recursion",
     "bernoulli",
@@ -70,8 +66,6 @@ __all__ = [
     "faulhaber_polynomial",
     "interpolate_bell_polynomial",
     "leading_coefficient",
-    "poly_eval",
-    "poly_shift",
     "power_sum_oracle",
     "stirling2",
     "verify_theorem",

@@ -133,13 +133,6 @@ def bell_via_recursion(n: int, m: int) -> int:
     return _BELL.value(n, m)
 
 
-def bell_first_order(n: int) -> int:
-    """The plain Bell number B_n = sum(S(n, k) for k in 1..n), n >= 1."""
-    if n < 1:
-        raise ValueError("first-order Bell numbers start at n = 1")
-    return sum(stirling2(n, k) for k in range(1, n + 1))
-
-
 def _reset_tables() -> None:
     """Drop memoized state. Test hook."""
     global _BELL

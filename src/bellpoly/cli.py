@@ -1,8 +1,8 @@
 """The `bell` command line tool.
 
 Subcommands: table, value, poly, asympt, selfcheck. Exit code 0 on
-success, 1 when a selfcheck invariant fails, 2 on usage errors
-(argparse's convention).
+success, 1 when a selfcheck invariant or an internal cross-check fails,
+2 on usage errors (argparse's convention).
 """
 
 from __future__ import annotations
@@ -10,36 +10,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .polynomial import ConsistencyError
 from .rendering import (
     FORMATS,
     METHODS,
-    OutputDocument,
     render_asympt,
     render_poly,
     render_table,
     render_value,
 )
 from .selfcheck import run_selfcheck
-
-
-def cmd_table(n_max: int, m_max: int, fmt: str = "tsv") -> OutputDocument:
-    return render_table(n_max, m_max, fmt)
-
-
-def cmd_value(n: int, m: int, method: str = "auto", fmt: str = "tsv") -> OutputDocument:
-    return render_value(n, m, method, fmt)
-
-
-def cmd_poly(n: int, fmt: str = "json") -> OutputDocument:
-    return render_poly(n, fmt)
-
-
-def cmd_asympt(n: int, m: int, digits: int = 6, fmt: str = "tsv") -> OutputDocument:
-    return render_asympt(n, m, digits, fmt)
-
-
-def cmd_selfcheck() -> int:
-    return run_selfcheck()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,26 +65,38 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "selfcheck":
-        return cmd_selfcheck()
+        return run_selfcheck()
 
-    if args.command == "table":
-        if args.n_max < 1 or args.m_max < 1:
-            parser.error("--n-max and --m-max must be at least 1")
-        doc = cmd_table(args.n_max, args.m_max, args.format)
-    elif args.command == "value":
-        if args.n < 0 or args.m < 0:
-            parser.error("--n and --m must be non-negative")
-        doc = cmd_value(args.n, args.m, args.method, args.format)
-    elif args.command == "poly":
-        if args.n < 0 or (args.n == 0 and not args.allow_zero):
-            parser.error("--n must be at least 1 (or pass --allow-zero for n = 0)")
-        doc = cmd_poly(args.n, args.format)
-    else:
-        if args.n < 1 or args.m < 1:
-            parser.error("--n and --m must be at least 1")
-        if args.digits < 0:
-            parser.error("--digits must be non-negative")
-        doc = cmd_asympt(args.n, args.m, args.digits, args.format)
+    # Exact answers may pass the int-to-str digit limit; Python 3.10.0-3.10.6
+    # have neither the limit nor the setter.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.command == "table":
+            if args.n_max < 1 or args.m_max < 1:
+                parser.error("--n-max and --m-max must be at least 1")
+            doc = render_table(args.n_max, args.m_max, args.format)
+        elif args.command == "value":
+            if args.n < 0 or args.m < 0:
+                parser.error("--n and --m must be non-negative")
+            doc = render_value(args.n, args.m, args.method, args.format)
+        elif args.command == "poly":
+            if args.n < 0 or (args.n == 0 and not args.allow_zero):
+                parser.error("--n must be at least 1 (or pass --allow-zero for n = 0)")
+            doc = render_poly(args.n, args.format)
+        else:
+            if args.n < 1 or args.m < 1:
+                parser.error("--n and --m must be at least 1")
+            if args.digits < 0:
+                parser.error("--digits must be non-negative")
+            doc = render_asympt(args.n, args.m, args.digits, args.format)
+    except ConsistencyError as exc:
+        print(f"bell: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
     sys.stdout.write(doc.payload)
     return 0

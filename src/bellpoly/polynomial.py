@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .bell_numbers import bell_via_recursion
 from .combinatorics import factorial, faulhaber_polynomial, stirling2
 from .rational_poly import RationalPolynomial
-
-Scalar = Union[int, Fraction]
 
 
 class ConsistencyError(ArithmeticError):
@@ -55,16 +53,6 @@ class DifferencePolynomial:
 
     n: int
     poly: RationalPolynomial
-
-
-def poly_eval(p: RationalPolynomial, m: Scalar) -> Fraction:
-    """Horner evaluation of p at m; exact."""
-    return p.evaluate(m)
-
-
-def poly_shift(p: RationalPolynomial, delta: Scalar) -> RationalPolynomial:
-    """The polynomial q with q(m) = p(m + delta), by binomial expansion."""
-    return p.shift(delta)
 
 
 def interpolate_bell_polynomial(n: int) -> BellPolynomial:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .bell_numbers import bell_via_egf, bell_via_recursion
 from .polynomial import (
@@ -90,14 +91,6 @@ def polynomial_str(p: RationalPolynomial, var: str = "m") -> str:
     return " ".join(pieces)
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
 def compute_value(n: int, m: int, method: str = "auto") -> tuple[int, str]:
     """B(n, m) by the requested route; returns (value, resolved method)."""
     if method == "auto":
@@ -114,52 +107,63 @@ def compute_value(n: int, m: int, method: str = "auto") -> tuple[int, str]:
     raise ValueError(f"unknown method: {method}")
 
 
+def _document(
+    fmt: str,
+    doc: dict,
+    tsv_rows: list[Sequence[str]],
+    header: list[str],
+    rows: list[Sequence[str]],
+    title: Callable[[], str] | None = None,
+) -> OutputDocument:
+    """The one place content becomes json, tsv or markdown bytes.
+
+    `doc` is the JSON object, `tsv_rows` the tab-separated lines, and
+    `header` and `rows` the markdown table. `title` is called only for
+    markdown; its line and a blank line go above the table.
+    """
+    if fmt == "json":
+        payload = json.dumps(doc) + "\n"
+    elif fmt == "tsv":
+        payload = "".join("\t".join(row) + "\n" for row in tsv_rows)
+    elif fmt == "markdown":
+        lines = [header, ["---"] * len(header), *rows]
+        payload = "".join("| " + " | ".join(row) + " |\n" for row in lines)
+        if title is not None:
+            payload = f"{title()}\n\n{payload}"
+    else:
+        raise ValueError(f"unknown format: {fmt}")
+    return OutputDocument(fmt, payload)
+
+
 def render_table(n_max: int, m_max: int, fmt: str) -> OutputDocument:
     """The grid of B(n, m) for 1 <= n <= n_max, 1 <= m <= m_max."""
     if n_max < 1 or m_max < 1:
         raise ValueError("table bounds must be at least 1")
     grid = [
-        (m, [bell_via_recursion(n, m) for n in range(1, n_max + 1)])
+        (m, [str(bell_via_recursion(n, m)) for n in range(1, n_max + 1)])
         for m in range(1, m_max + 1)
     ]
     header = ["m"] + [f"n={n}" for n in range(1, n_max + 1)]
-    if fmt == "tsv":
-        lines = ["\t".join(header)]
-        for m, values in grid:
-            lines.append("\t".join([str(m)] + [str(v) for v in values]))
-        payload = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        doc = {
-            "n_max": n_max,
-            "m_max": m_max,
-            "rows": [
-                {"m": m, "values": [str(v) for v in values]} for m, values in grid
-            ],
-        }
-        payload = json.dumps(doc) + "\n"
-    elif fmt == "markdown":
-        rows = [[str(m)] + [str(v) for v in values] for m, values in grid]
-        payload = _markdown_table(header, rows)
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-    return OutputDocument(fmt, payload)
+    rows = [[str(m)] + values for m, values in grid]
+    doc = {
+        "n_max": n_max,
+        "m_max": m_max,
+        "rows": [{"m": m, "values": values} for m, values in grid],
+    }
+    return _document(fmt, doc, [header, *rows], header, rows)
 
 
 def render_value(n: int, m: int, method: str, fmt: str) -> OutputDocument:
     """A single B(n, m) as a decimal string."""
     value, resolved = compute_value(n, m, method)
-    if fmt == "tsv":
-        payload = f"{value}\n"
-    elif fmt == "json":
-        doc = {"n": n, "m": m, "method": resolved, "value": str(value)}
-        payload = json.dumps(doc) + "\n"
-    elif fmt == "markdown":
-        payload = _markdown_table(
-            ["n", "m", "method", "value"], [[str(n), str(m), resolved, str(value)]]
-        )
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-    return OutputDocument(fmt, payload)
+    text = str(value)
+    return _document(
+        fmt,
+        {"n": n, "m": m, "method": resolved, "value": text},
+        [[text]],
+        ["n", "m", "method", "value"],
+        [[str(n), str(m), resolved, text]],
+    )
 
 
 def render_poly(n: int, fmt: str) -> OutputDocument:
@@ -171,35 +175,20 @@ def render_poly(n: int, fmt: str) -> OutputDocument:
     """
     bp = construct_bell_polynomial(n)
     count = n if n >= 1 else 1
-    coeffs = [bp.poly.coefficient(j) for j in range(count)]
+    coeffs = [fraction_str(bp.poly.coefficient(j)) for j in range(count)]
     expected_leading = leading_coefficient(n) if n >= 1 else Fraction(1)
     match = bp.poly.leading_coefficient() == expected_leading
-    coeff_strs = [fraction_str(c) for c in coeffs]
-    leading_str = fraction_str(expected_leading)
-    if fmt == "json":
-        doc = {
-            "n": n,
-            "coefficients": coeff_strs,
-            "leading_theorem": leading_str,
-            "match": match,
-        }
-        payload = json.dumps(doc) + "\n"
-    elif fmt == "tsv":
-        lines = [f"n\t{n}"]
-        for j, c in enumerate(coeff_strs):
-            lines.append(f"c_{j}\t{c}")
-        lines.append(f"leading_theorem\t{leading_str}")
-        lines.append(f"match\t{'true' if match else 'false'}")
-        payload = "\n".join(lines) + "\n"
-    elif fmt == "markdown":
-        rows = [[f"c_{j}", c] for j, c in enumerate(coeff_strs)]
-        rows.append(["leading (n!/2^(n-1))", leading_str])
-        rows.append(["match", "true" if match else "false"])
-        table = _markdown_table(["coefficient", "value"], rows)
-        payload = f"B_{n}(m) = {polynomial_str(bp.poly)}\n\n" + table
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-    return OutputDocument(fmt, payload)
+    leading = fraction_str(expected_leading)
+    match_str = "true" if match else "false"
+    named = [(f"c_{j}", c) for j, c in enumerate(coeffs)]
+    return _document(
+        fmt,
+        {"n": n, "coefficients": coeffs, "leading_theorem": leading, "match": match},
+        [("n", str(n)), *named, ("leading_theorem", leading), ("match", match_str)],
+        ["coefficient", "value"],
+        [*named, ("leading (n!/2^(n-1))", leading), ("match", match_str)],
+        title=lambda: f"B_{n}(m) = {polynomial_str(bp.poly)}",
+    )
 
 
 def render_asympt(n: int, m: int, digits: int, fmt: str) -> OutputDocument:
@@ -213,14 +202,5 @@ def render_asympt(n: int, m: int, digits: int, fmt: str) -> OutputDocument:
         ("ratio", fraction_str(report.ratio)),
         ("ratio_decimal", decimal_expansion(report.ratio, digits)),
     ]
-    if fmt == "tsv":
-        payload = "\n".join(f"{k}\t{v}" for k, v in fields) + "\n"
-    elif fmt == "json":
-        doc = {"n": n, "m": m, "digits": digits}
-        doc.update((k, v) for k, v in fields if k not in ("n", "m"))
-        payload = json.dumps(doc) + "\n"
-    elif fmt == "markdown":
-        payload = _markdown_table(["field", "value"], [[k, v] for k, v in fields])
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-    return OutputDocument(fmt, payload)
+    doc = {"n": n, "m": m, "digits": digits, **dict(fields[2:])}
+    return _document(fmt, doc, fields, ["field", "value"], fields)

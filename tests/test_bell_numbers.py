@@ -6,7 +6,6 @@ import pytest
 
 from bellpoly import (
     TruncatedEGF,
-    bell_first_order,
     bell_via_egf,
     bell_via_recursion,
     egf_iterate,
@@ -101,18 +100,3 @@ class TestValues:
                     bell_via_recursion(k, m - 1) * stirling2(n, k)
                     for k in range(1, n)
                 )
-
-
-class TestFirstOrder:
-    def test_known_values(self):
-        assert bell_first_order(1) == 1
-        assert bell_first_order(4) == 15
-        assert bell_first_order(8) == 4140
-
-    def test_equals_order_one_column(self):
-        for n in range(1, 13):
-            assert bell_first_order(n) == bell_via_recursion(n, 1)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            bell_first_order(0)

@@ -11,6 +11,7 @@ import pytest
 
 import bellpoly
 import bellpoly.bell_numbers
+import bellpoly.polynomial
 from bellpoly.cli import main
 from bellpoly.selfcheck import run_selfcheck
 
@@ -114,6 +115,10 @@ class TestPoly:
         rc, out = run_cli(["poly", "--n", "0", "--allow-zero"])
         assert rc == 0
         assert json.loads(out)["coefficients"] == ["1"]
+        assert run_cli(["poly", "--n", "0", "--allow-zero", "--format", "tsv"]) == (
+            0,
+            "n\t0\nc_0\t1\nleading_theorem\t1\nmatch\ttrue\n",
+        )
 
     def test_round_trip_reproduces_values(self):
         doc = json.loads(run_cli(["poly", "--n", "4"])[1])
@@ -184,6 +189,38 @@ class TestExitCodes:
 
     def test_success_exits_0(self):
         assert run_cli(["table", "--n-max", "1", "--m-max", "1"])[0] == 0
+
+    @pytest.mark.parametrize("k", [2149, 2150])
+    def test_value_past_int_str_digit_limit(self, k):
+        # B(3, 10^k) = 15*10^(2k-1) + 25*10^(k-1) + 1 has 2k + 1 digits:
+        # 4299 and 4301 on either side of Python's 4300-digit str() limit.
+        expected = "15" + "0" * (k - 2) + "25" + "0" * (k - 2) + "1\n"
+        assert run_cli(["value", "--n", "3", "--m", "1" + "0" * k]) == (0, expected)
+
+    @pytest.mark.parametrize("digits", [4299, 4300])
+    def test_asympt_subprocess_past_int_str_digit_limit(self, digits):
+        # 1502501/1500000 = 1.0016673333...; scaled by 10^digits it has
+        # digits + 1 digits, on either side of the 4300-digit limit.
+        cmd = [sys.executable, "-m", "bellpoly", "asympt", "--n", "3", "--m", "1000",
+               "--digits", str(digits)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == (
+            "ratio_decimal\t1.001667" + "3" * (digits - 6)
+        )
+
+    def test_consistency_error_exits_1_with_one_line(self, monkeypatch, capsys):
+        real = bellpoly.polynomial.bell_via_recursion
+
+        def corrupted(n, m):
+            value = real(n, m)
+            return value + 1 if (n, m) == (4, 4) else value
+
+        monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
+        assert main(["poly", "--n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "bell: interpolation for n=4 gives 315 at m=4, recursion gives 316\n"
 
 
 class TestByteStability:

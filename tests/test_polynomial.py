@@ -16,8 +16,6 @@ from bellpoly import (
     factorial,
     interpolate_bell_polynomial,
     leading_coefficient,
-    poly_eval,
-    poly_shift,
     verify_theorem,
 )
 from bellpoly.rational_poly import RationalPolynomial
@@ -34,23 +32,23 @@ polys_st = st.lists(fractions_st, min_size=0, max_size=6).map(RationalPolynomial
 
 class TestEvalAndShift:
     def test_eval_known(self):
-        assert poly_eval(RationalPolynomial.zero(), 7) == 0
-        assert poly_eval(B3, 2) == 12
-        assert poly_eval(B3, 100) == 15251
+        assert RationalPolynomial.zero().evaluate(7) == 0
+        assert B3.evaluate(2) == 12
+        assert B3.evaluate(100) == 15251
         # (3/2)(1/4) + (5/2)(1/2) + 1 = 3/8 + 10/8 + 8/8
-        assert poly_eval(B3, Fraction(1, 2)) == Fraction(21, 8)
+        assert B3.evaluate(Fraction(1, 2)) == Fraction(21, 8)
 
     def test_shift_known(self):
-        assert poly_shift(B3, -1) == RationalPolynomial(
+        assert B3.shift(-1) == RationalPolynomial(
             [0, Fraction(-1, 2), Fraction(3, 2)]
         )
-        assert poly_shift(RationalPolynomial([0, 1]), 3) == RationalPolynomial([3, 1])
-        assert poly_shift(RationalPolynomial.constant(5), -9) == (
+        assert RationalPolynomial([0, 1]).shift(3) == RationalPolynomial([3, 1])
+        assert RationalPolynomial.constant(5).shift(-9) == (
             RationalPolynomial.constant(5)
         )
 
     def test_shift_pointwise(self):
-        shifted = poly_shift(B3, -1)
+        shifted = B3.shift(-1)
         for m in (0, 1, 2, 5):
             assert shifted.evaluate(m) == B3.evaluate(m - 1)
 

@@ -140,6 +140,11 @@ class TestDocuments:
         assert render_value(5, 3, "recursion", "tsv").payload == "1304\n"
         doc = json.loads(render_value(5, 3, "auto", "json").payload)
         assert doc == {"n": 5, "m": 3, "method": "recursion", "value": "1304"}
+        assert render_value(5, 3, "auto", "markdown").payload == (
+            "| n | m | method | value |\n"
+            "| --- | --- | --- | --- |\n"
+            "| 5 | 3 | recursion | 1304 |\n"
+        )
 
     def test_poly_json_schema(self):
         doc = json.loads(render_poly(3, "json").payload)
@@ -165,8 +170,17 @@ class TestDocuments:
         )
 
     def test_poly_markdown_shows_polynomial(self):
-        payload = render_poly(3, "markdown").payload
-        assert payload.startswith("B_3(m) = (3/2)m^2 + (5/2)m + 1\n")
+        assert render_poly(3, "markdown").payload == (
+            "B_3(m) = (3/2)m^2 + (5/2)m + 1\n"
+            "\n"
+            "| coefficient | value |\n"
+            "| --- | --- |\n"
+            "| c_0 | 1 |\n"
+            "| c_1 | 5/2 |\n"
+            "| c_2 | 3/2 |\n"
+            "| leading (n!/2^(n-1)) | 3/2 |\n"
+            "| match | true |\n"
+        )
 
     def test_asympt_fields(self):
         payload = render_asympt(3, 1000, 6, "tsv").payload
@@ -184,6 +198,16 @@ class TestDocuments:
             "ratio": "1502501/1500000",
             "ratio_decimal": "1.001667",
         }
+        assert render_asympt(3, 1000, 6, "markdown").payload == (
+            "| field | value |\n"
+            "| --- | --- |\n"
+            "| n | 3 |\n"
+            "| m | 1000 |\n"
+            "| exact | 1502501 |\n"
+            "| leading | 1500000 |\n"
+            "| ratio | 1502501/1500000 |\n"
+            "| ratio_decimal | 1.001667 |\n"
+        )
 
     def test_every_payload_is_newline_terminated(self):
         docs = [
