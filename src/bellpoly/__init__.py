@@ -12,6 +12,7 @@ from . import bell_numbers as _bell_numbers
 from . import combinatorics as _combinatorics
 from .bell_numbers import (
     BellTable,
+    ConsistencyError,
     TruncatedEGF,
     bell_via_egf,
     bell_via_recursion,
@@ -30,7 +31,6 @@ from .combinatorics import (
 from .polynomial import (
     AsymptoticReport,
     BellPolynomial,
-    ConsistencyError,
     DifferencePolynomial,
     asymptotic_report,
     construct_bell_polynomial,

@@ -20,6 +20,10 @@ from fractions import Fraction
 from .combinatorics import factorial, stirling2
 
 
+class ConsistencyError(ArithmeticError):
+    """An exact cross-check that must hold mathematically failed."""
+
+
 @dataclass(frozen=True)
 class TruncatedEGF:
     """Degree-N truncation of an exponential generating function.
@@ -51,7 +55,7 @@ class TruncatedEGF:
         """n! * a_n as an exact integer; raises if it is not integral."""
         value = factorial(n) * self.coeffs[n]
         if value.denominator != 1:
-            raise ArithmeticError(f"{n}! * a_{n} = {value} is not an integer")
+            raise ConsistencyError(f"{n}! * a_{n} = {value} is not an integer")
         return value.numerator
 
 

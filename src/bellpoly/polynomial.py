@@ -4,8 +4,8 @@ For fixed n >= 1, B(n, m) agrees for every natural m with a polynomial
 of degree n-1 with rational coefficients, constant term 1 and leading
 coefficient n!/2**(n-1). Two independent constructions are provided:
 
-* interpolate_bell_polynomial fits exact samples by Newton divided
-  differences and verifies a held-out sample;
+* interpolate_bell_polynomial fits exact samples by their integer
+  Newton forward differences and verifies a held-out sample;
 * construct_bell_polynomial assembles the polynomial from the
   first-difference identity
 
@@ -19,17 +19,15 @@ ConsistencyError rather than being silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .bell_numbers import bell_via_recursion
+from .bell_numbers import ConsistencyError, bell_via_recursion
 from .combinatorics import factorial, faulhaber_polynomial, stirling2
 from .rational_poly import RationalPolynomial
-
-
-class ConsistencyError(ArithmeticError):
-    """An exact cross-check that must hold mathematically failed."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +40,11 @@ class BellPolynomial:
 
     n: int
     poly: RationalPolynomial
+
+    @cached_property
+    def shifted(self) -> RationalPolynomial:
+        """The polynomial m -> B(n, m-1), shifted once per instance."""
+        return self.poly.shift(-1)
 
 
 @dataclass(frozen=True)
@@ -58,28 +61,32 @@ class DifferencePolynomial:
 def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     """Fit the unique degree-(n-1) polynomial through B(n, 0), ..., B(n, n-1).
 
-    Newton divided differences over the nodes m = 0..n-1, all in exact
-    rational arithmetic. The fresh sample at m = n must land on the
-    fitted polynomial; a mismatch would mean the polynomial form does
-    not hold (or the arithmetic is broken) and raises ConsistencyError.
+    B_n is integer-valued, so by Polya it is an integer combination
+    sum(a_k * C(m, k) for k in 0..n-1) of binomials, and the a_k are the
+    forward differences of the samples at m = 0. The Newton form is
+    expanded on the falling factorials m(m-1)...(m-k+1) in integers over
+    the one denominator (n-1)!, and turned into Fractions once. The fresh
+    sample at m = n must land on the fitted polynomial; a mismatch would
+    mean the polynomial form does not hold (or the arithmetic is broken)
+    and raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return BellPolynomial(0, RationalPolynomial.constant(1))
-    # dd starts as the samples and is overwritten in place with the
-    # divided differences; nodes are consecutive, so x_{i+j} - x_i = j.
-    dd = [Fraction(bell_via_recursion(n, mm)) for mm in range(n)]
-    newton = [dd[0]]
-    for j in range(1, n):
-        for i in range(n - j):
-            dd[i] = Fraction(dd[i + 1] - dd[i], j)
-        newton.append(dd[0])
-    poly = RationalPolynomial.zero()
-    basis = RationalPolynomial.constant(1)
-    for j, c in enumerate(newton):
-        poly = poly + c * basis
-        basis = basis * RationalPolynomial((-j, 1))  # times (m - j)
+    row = [bell_via_recursion(n, mm) for mm in range(n)]
+    scale = factorial(n - 1)
+    numerators = [0] * n
+    falling = [1]  # coefficients of m(m-1)...(m-k+1), lowest power first
+    for k in range(n):
+        weight = row[0] * (scale // factorial(k))  # a_k * (n-1)!/k!
+        for i, c in enumerate(falling):
+            numerators[i] += weight * c
+        row = [b - a for a, b in zip(row, row[1:])]
+        falling = [0] + falling  # times (m - k)
+        for i in range(k + 1):
+            falling[i] -= k * falling[i + 1]
+    poly = RationalPolynomial(Fraction(c, scale) for c in numerators)
     held_out = poly.evaluate(n)
     expected = bell_via_recursion(n, n)
     if held_out != expected:
@@ -90,6 +97,21 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     return BellPolynomial(n, poly)
 
 
+def _combine(terms) -> RationalPolynomial:
+    """sum(c * p for c, p in terms), summed into one coefficient list.
+
+    All products go over one common denominator, so the sum runs in
+    integers and each coefficient becomes a Fraction once.
+    """
+    terms = [(Fraction(c), p.coefficients) for c, p in terms]
+    den = math.lcm(*(c.denominator * a.denominator for c, cs in terms for a in cs))
+    acc = [0] * max((len(cs) for _, cs in terms), default=0)
+    for c, cs in terms:
+        for i, a in enumerate(cs):
+            acc[i] += c.numerator * a.numerator * (den // (c.denominator * a.denominator))
+    return RationalPolynomial(Fraction(x, den) for x in acc)
+
+
 def difference_polynomial(
     n: int, lower: Sequence[BellPolynomial]
 ) -> DifferencePolynomial:
@@ -97,16 +119,15 @@ def difference_polynomial(
 
     By the Stirling recursion the difference equals
     sum(B(k, m-1) * S(n, k) for k in 1..n-1); each B(k, m-1) is the
-    k-th Bell polynomial shifted by -1 and re-expanded in m. `lower`
-    must hold the Bell polynomials for 1..n-1 in order.
+    k-th Bell polynomial shifted by -1 and re-expanded in m, which each
+    BellPolynomial computes once. `lower` must hold the Bell polynomials
+    for 1..n-1 in order.
     """
     if n < 2:
         raise ValueError("difference polynomials are defined for n >= 2")
     if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
         raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
-    total = RationalPolynomial.zero()
-    for k in range(1, n):
-        total = total + stirling2(n, k) * lower[k - 1].poly.shift(-1)
+    total = _combine((stirling2(n, k), lower[k - 1].shifted) for k in range(1, n))
     if total.degree != n - 2 or total.leading_coefficient() <= 0:
         raise ConsistencyError(
             f"difference polynomial for n={n} has degree {total.degree} "
@@ -123,24 +144,25 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
 
         B(j, m) = 1 + sum(d_r * P_r(m) for r in 0..j-2),
 
-    where P_r is the power-sum polynomial. Every level is checked
-    against the interpolation route; any coefficient mismatch raises
-    ConsistencyError.
+    where P_r is the power-sum polynomial. Each level is shifted once
+    and each P_r is built once, so one call makes n-1 shifts. Every
+    level is checked against the interpolation route; any coefficient
+    mismatch raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return BellPolynomial(0, RationalPolynomial.constant(1))
     levels: list[BellPolynomial] = []
+    power_sums: list[RationalPolynomial] = []  # P_0, ..., P_{j-2}
     for j in range(1, n + 1):
         if j == 1:
             poly = RationalPolynomial.constant(1)  # B(1, m) = 1
         else:
+            power_sums.append(faulhaber_polynomial(j - 2))
             diff = difference_polynomial(j, levels)
-            poly = RationalPolynomial.constant(1)
-            for r, d_r in enumerate(diff.poly.coefficients):
-                if d_r != 0:
-                    poly = poly + d_r * faulhaber_polynomial(r)
+            terms = zip(diff.poly.coefficients, power_sums)
+            poly = _combine([(1, RationalPolynomial.constant(1)), *terms])
         reference = interpolate_bell_polynomial(j)
         if poly != reference.poly:
             raise ConsistencyError(

@@ -222,6 +222,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "bell: interpolation for n=4 gives 315 at m=4, recursion gives 316\n"
 
+    def test_non_integral_egf_coefficient_exits_1_with_one_line(self, monkeypatch, capsys):
+        real = bellpoly.bell_numbers.egf_iterate
+
+        def corrupted(series):
+            step = real(series)
+            return type(step)(step.coeffs[:-1] + (step.coeffs[-1] + Fraction(1, 7),))
+
+        monkeypatch.setattr(bellpoly.bell_numbers, "egf_iterate", corrupted)
+        assert main(["value", "--n", "5", "--m", "3", "--method", "egf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bell: 5! * a_5 = ") and err.endswith(" is not an integer\n")
+        assert err.count("\n") == 1
+
 
 class TestByteStability:
     def test_repeated_runs_are_identical(self):

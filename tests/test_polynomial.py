@@ -10,6 +10,7 @@ import bellpoly.polynomial
 from bellpoly import (
     ConsistencyError,
     asymptotic_report,
+    bell_via_egf,
     bell_via_recursion,
     construct_bell_polynomial,
     difference_polynomial,
@@ -83,10 +84,13 @@ class TestInterpolation:
             assert p.constant_term() == 1
 
     def test_agrees_beyond_held_out_sample(self):
-        for n in range(1, 9):
-            p = interpolate_bell_polynomial(n).poly
+        for n in range(1, 21):
+            interpolated = interpolate_bell_polynomial(n).poly
+            constructed = construct_bell_polynomial(n).poly
             for m in range(n + 1, n + 4):
-                assert p.evaluate(m) == bell_via_recursion(n, m)
+                expected = bell_via_egf(n, m)
+                assert interpolated.evaluate(m) == expected
+                assert constructed.evaluate(m) == expected
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -150,6 +154,30 @@ class TestConstruction:
                 construct_bell_polynomial(n).poly
                 == interpolate_bell_polynomial(n).poly
             )
+
+    @pytest.mark.parametrize("n", [9, 18])
+    def test_shifts_each_lower_level_once(self, n, monkeypatch):
+        calls = []
+        real = RationalPolynomial.shift
+
+        def counted(self, delta):
+            calls.append(delta)
+            return real(self, delta)
+
+        monkeypatch.setattr(RationalPolynomial, "shift", counted)
+        construct_bell_polynomial(n)
+        assert calls == [-1] * (n - 1)
+
+    def test_every_level_is_checked_against_interpolation(self, monkeypatch):
+        real = bellpoly.polynomial.stirling2
+
+        def corrupted(n, k):
+            value = real(n, k)
+            return value + 1 if (n, k) == (6, 3) else value
+
+        monkeypatch.setattr(bellpoly.polynomial, "stirling2", corrupted)
+        with pytest.raises(ConsistencyError, match=r"\bn=6\b"):
+            construct_bell_polynomial(8)
 
     def test_telescoping_identity(self):
         for n in range(2, 11):
