@@ -35,7 +35,10 @@ class TruncatedEGF:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        # From a list, not a generator: a tuple built from a generator is
+        # resized, and every EGF step would leave one in CPython's
+        # per-size tuple free lists until they hold thousands.
+        coeffs = tuple([Fraction(c) for c in self.coeffs])
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         object.__setattr__(self, "coeffs", coeffs)
@@ -45,7 +48,7 @@ class TruncatedEGF:
         """The degree-`order` truncation of exp(x): a_j = 1/j!."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        return cls(tuple(Fraction(1, factorial(j)) for j in range(order + 1)))
+        return cls(tuple([Fraction(1, factorial(j)) for j in range(order + 1)]))
 
     @property
     def order(self) -> int:

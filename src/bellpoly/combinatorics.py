@@ -119,17 +119,20 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
                        for even j in 2..r)
 
     Degree is exactly r+1, the constant term is zero, and the leading
-    coefficient is 1/(r+1).
+    coefficient is 1/(r+1). The coefficients are built as integers over
+    (r+1) times the lcm of 2 and the Bernoulli denominators.
     """
     if r < 0:
         raise ValueError("power-sum exponent must be non-negative")
-    coeffs = [Fraction(0)] * (r + 2)
-    coeffs[r + 1] = Fraction(1, r + 1)
+    evens = [(j, bernoulli(j)) for j in range(2, r + 1, 2)]  # odd ones vanish
+    scale = math.lcm(2, *[b.denominator for _, b in evens])
+    nums = [0] * (r + 2)
+    nums[r + 1] = scale
     if r >= 1:
-        coeffs[r] = Fraction(1, 2)
-    for j in range(2, r + 1, 2):  # odd Bernoulli numbers vanish
-        coeffs[r + 1 - j] = Fraction(math.comb(r + 1, j), r + 1) * bernoulli(j)
-    return RationalPolynomial(coeffs)
+        nums[r] = scale // 2 * (r + 1)
+    for j, b in evens:
+        nums[r + 1 - j] = math.comb(r + 1, j) * b.numerator * (scale // b.denominator)
+    return RationalPolynomial(nums, scale * (r + 1))
 
 
 def _reset_tables() -> None:

@@ -19,7 +19,6 @@ ConsistencyError rather than being silently ignored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,10 +64,10 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     sum(a_k * C(m, k) for k in 0..n-1) of binomials, and the a_k are the
     forward differences of the samples at m = 0. The Newton form is
     expanded on the falling factorials m(m-1)...(m-k+1) in integers over
-    the one denominator (n-1)!, and turned into Fractions once. The fresh
-    sample at m = n must land on the fitted polynomial; a mismatch would
-    mean the polynomial form does not hold (or the arithmetic is broken)
-    and raises ConsistencyError.
+    the one denominator (n-1)!, which the polynomial takes as is. The
+    fresh sample at m = n must land on the fitted polynomial; a mismatch
+    would mean the polynomial form does not hold (or the arithmetic is
+    broken) and raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -86,7 +85,7 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
         falling = [0] + falling  # times (m - k)
         for i in range(k + 1):
             falling[i] -= k * falling[i + 1]
-    poly = RationalPolynomial(Fraction(c, scale) for c in numerators)
+    poly = RationalPolynomial(numerators, scale)
     held_out = poly.evaluate(n)
     expected = bell_via_recursion(n, n)
     if held_out != expected:
@@ -95,21 +94,6 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
             f"recursion gives {expected}"
         )
     return BellPolynomial(n, poly)
-
-
-def _combine(terms) -> RationalPolynomial:
-    """sum(c * p for c, p in terms), summed into one coefficient list.
-
-    All products go over one common denominator, so the sum runs in
-    integers and each coefficient becomes a Fraction once.
-    """
-    terms = [(Fraction(c), p.coefficients) for c, p in terms]
-    den = math.lcm(*(c.denominator * a.denominator for c, cs in terms for a in cs))
-    acc = [0] * max((len(cs) for _, cs in terms), default=0)
-    for c, cs in terms:
-        for i, a in enumerate(cs):
-            acc[i] += c.numerator * a.numerator * (den // (c.denominator * a.denominator))
-    return RationalPolynomial(Fraction(x, den) for x in acc)
 
 
 def difference_polynomial(
@@ -127,7 +111,9 @@ def difference_polynomial(
         raise ValueError("difference polynomials are defined for n >= 2")
     if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
         raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
-    total = _combine((stirling2(n, k), lower[k - 1].shifted) for k in range(1, n))
+    total = RationalPolynomial.linear_combination(
+        [(stirling2(n, k), lower[k - 1].shifted) for k in range(1, n)]
+    )
     if total.degree != n - 2 or total.leading_coefficient() <= 0:
         raise ConsistencyError(
             f"difference polynomial for n={n} has degree {total.degree} "
@@ -162,7 +148,9 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
             power_sums.append(faulhaber_polynomial(j - 2))
             diff = difference_polynomial(j, levels)
             terms = zip(diff.poly.coefficients, power_sums)
-            poly = _combine([(1, RationalPolynomial.constant(1)), *terms])
+            poly = RationalPolynomial.linear_combination(
+                [(1, RationalPolynomial.constant(1)), *terms]
+            )
         reference = interpolate_bell_polynomial(j)
         if poly != reference.poly:
             raise ConsistencyError(

@@ -1,9 +1,15 @@
-"""Dense univariate polynomials with exact rational coefficients."""
+"""Dense univariate polynomials with exact rational coefficients.
+
+A polynomial is stored as integer numerators over one positive common
+denominator, so shifting, evaluating, adding and multiplying all run in
+integer arithmetic. A Fraction is made only where a coefficient or a
+value leaves the class.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -12,19 +18,51 @@ Scalar = Union[int, Fraction]
 class RationalPolynomial:
     """Immutable polynomial sum(c[j] * x**j) over the rationals.
 
-    Coefficients are stored densely as Fraction values with trailing
-    zeros stripped, so the highest stored coefficient is nonzero and
-    equality is structural. The zero polynomial stores no coefficients
-    and reports degree -1.
+    Stored as a tuple of integer numerators a_j over one positive
+    denominator d, with c[j] = a_j / d. The form is canonical: trailing
+    zeros are stripped, so the highest stored numerator is nonzero, and
+    gcd(a_0, ..., a_k, d) = 1. Equal polynomials therefore store equal
+    numerators and denominators, and equality and hashing are
+    structural. The zero polynomial stores no numerators over d = 1 and
+    reports degree -1. Coefficients and values are returned as Fractions.
+
+    Hot paths build every tuple here from a list, never from a
+    generator: a tuple built from a generator is resized after it is
+    filled, and freed tuples of each size are kept in CPython's
+    per-size free lists, which a long run fills with megabytes.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable[Scalar] = (), denominator: int = 1):
+        """The polynomial sum(coeffs[j] * x**j) / denominator.
+
+        `denominator` must be a positive integer; coefficients may be
+        ints or anything Fraction accepts.
+        """
+        if not isinstance(denominator, int) or denominator <= 0:
+            raise ValueError("denominator must be a positive integer")
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        self._store([c.numerator * (den // c.denominator) for c in cs], den * denominator)
+
+    def _store(self, nums: list[int], den: int) -> None:
+        """Set the canonical form of sum(nums[j] * x**j) / den (den > 0)."""
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _new(cls, nums: list[int], den: int) -> RationalPolynomial:
+        """sum(nums[j] * x**j) / den from integers, with no conversion."""
+        poly = object.__new__(cls)
+        poly._store(nums, den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
@@ -45,92 +83,131 @@ class RationalPolynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(a, den) for a in self._nums])
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of x**j; zero beyond the stored degree."""
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
+        if 0 <= j < len(self._nums):
+            return Fraction(self._nums[j], self._den)
         return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self.coefficient(self.degree)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Horner evaluation; exact."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x = p/q, by Horner's rule in integers.
+
+        Accumulates sum(a_j * p**j * q**(k-j)) for degree k and divides
+        by d * q**k once.
+        """
+        if not self._nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1  # scale is q**(k-j) at numerator a_j
+        for a in reversed(self._nums):
+            acc = acc * p + a * scale
+            scale *= q
+        return Fraction(acc, self._den * (scale // q))
 
     def shift(self, delta: Scalar) -> RationalPolynomial:
-        """The polynomial q with q(x) = self(x + delta), by binomial expansion."""
-        out = [Fraction(0)] * len(self._coeffs)
-        for j, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            dpow = Fraction(1)
-            for i in range(j, -1, -1):
-                out[i] += c * comb(j, i) * dpow
-                dpow *= delta
-        return RationalPolynomial(out)
+        """The polynomial r with r(x) = self(x + delta), by an integer Taylor shift.
+
+        For delta = p/q and degree k, self(x) = b(q*x) / (d * q**k) with
+        the integer polynomial b(y) = sum(a_j * q**(k-j) * y**j), so
+        self(x + p/q) = b(q*x + p) / (d * q**k): shift b by the integer
+        p in place, then scale y back to q*x. An integer delta is q = 1.
+        """
+        if not self._nums:
+            return self
+        p, q = delta.numerator, delta.denominator
+        b = list(self._nums)
+        k = len(b) - 1
+        scale = 1
+        for j in range(k, -1, -1):
+            b[j] *= scale
+            scale *= q
+        for i in range(k):  # Horner's rule, repeated: b(y) -> b(y + p)
+            for j in range(k - 1, i - 1, -1):
+                b[j] += p * b[j + 1]
+        scale = 1
+        for j in range(k + 1):
+            b[j] *= scale
+            scale *= q
+        return self._new(b, self._den * (scale // q))
+
+    @classmethod
+    def linear_combination(
+        cls, terms: Iterable[tuple[Scalar, RationalPolynomial]]
+    ) -> RationalPolynomial:
+        """sum(c * p for c, p in terms), summed into one coefficient list.
+
+        Every product goes over one common denominator, so the sum runs
+        in integers.
+        """
+        scaled = [(c.numerator, c.denominator * p._den, p._nums) for c, p in terms]
+        den = math.lcm(*[d for _, d, _ in scaled])
+        acc = [0] * max([len(nums) for _, _, nums in scaled], default=0)
+        for c, d, nums in scaled:
+            factor = c * (den // d)
+            for i, a in enumerate(nums):
+                acc[i] += factor * a
+        return cls._new(acc, den)
+
+    def _scaled(self, c: Scalar) -> RationalPolynomial:
+        return self._new([a * c.numerator for a in self._nums], self._den * c.denominator)
 
     def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+        return self.linear_combination([(1, self), (1, other)])
 
     def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self + (-other)
+        return self.linear_combination([(1, self), (-1, other)])
 
     def __neg__(self) -> RationalPolynomial:
-        return RationalPolynomial(-c for c in self._coeffs)
+        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
+            a, b = self._nums, other._nums
+            if not a or not b:
                 return RationalPolynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x == 0:
                     continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return self._new(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self._coeffs)
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self._coeffs)
+            return self._scaled(other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        return f"RationalPolynomial({[str(c) for c in self._coeffs]})"
+        return f"RationalPolynomial({[str(c) for c in self.coefficients]})"

@@ -77,6 +77,15 @@ class TestValue:
         rc, out = run_cli(["value", "--n", "3", "--m", "5000", "--format", "json"])
         assert json.loads(out)["method"] == "poly"
 
+    @pytest.mark.parametrize("method", ["egf", "recursion", "poly", "auto"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 1500), (1, 0), (1, 1500), (9, 0)])
+    def test_edges_are_one(self, n, m, method):
+        argv = ["value", "--n", str(n), "--m", str(m), "--method", method]
+        assert run_cli(argv) == (0, "1\n")
+        doc = json.loads(run_cli([*argv, "--format", "json"])[1])
+        resolved = ("poly" if m > 1000 else "recursion") if method == "auto" else method
+        assert doc == {"n": n, "m": m, "method": resolved, "value": "1"}
+
     def test_methods_agree(self):
         outputs = {
             run_cli(["value", "--n", "6", "--m", "4", "--method", method])[1]

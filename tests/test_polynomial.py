@@ -1,6 +1,7 @@
 """Both polynomial constructions, the leading coefficient, asymptotics."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,48 @@ fractions_st = st.builds(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=1, max_value=20),
 )
-polys_st = st.lists(fractions_st, min_size=0, max_size=6).map(RationalPolynomial)
+coeffs_st = st.lists(fractions_st, min_size=0, max_size=6)
+polys_st = coeffs_st.map(RationalPolynomial)
+scalars_st = st.one_of(st.integers(min_value=-30, max_value=30), fractions_st)
+
+
+def stripped(cs):
+    """A plain coefficient list as a tuple of Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_evaluate(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_shift(cs, delta):
+    """Coefficients of p(x + delta), by binomial expansion in Fractions."""
+    out = [Fraction(0)] * len(cs)
+    for j, c in enumerate(cs):
+        for i in range(j + 1):
+            out[i] += c * comb(j, i) * Fraction(delta) ** (j - i)
+    return stripped(out)
+
+
+def reference_product(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return stripped(out)
+
+
+def padded_sum(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return stripped(x + sign * y for x, y in zip(a, b))
 
 
 class TestEvalAndShift:
@@ -68,6 +110,75 @@ class TestEvalAndShift:
     @settings(max_examples=80)
     def test_shifts_compose(self, p, a, b):
         assert p.shift(a).shift(b) == p.shift(a + b)
+
+
+class TestIntegerCore:
+    """The integer-numerator storage against plain Fraction arithmetic."""
+
+    @given(cs=coeffs_st)
+    def test_coefficients_are_fractions_in_order(self, cs):
+        coefficients = RationalPolynomial(cs).coefficients
+        assert coefficients == stripped(cs)
+        assert all(type(c) is Fraction for c in coefficients)
+
+    @given(cs=coeffs_st, x=fractions_st)
+    @settings(max_examples=80)
+    def test_evaluate_at_fraction_points(self, cs, x):
+        assert RationalPolynomial(cs).evaluate(x) == reference_evaluate(cs, x)
+
+    @given(cs=coeffs_st, delta=fractions_st)
+    @settings(max_examples=80)
+    def test_shift_by_fraction_matches_binomial_expansion(self, cs, delta):
+        assert RationalPolynomial(cs).shift(delta).coefficients == reference_shift(cs, delta)
+
+    @given(p=polys_st, delta=fractions_st, x=fractions_st)
+    @settings(max_examples=80)
+    def test_shift_by_fraction_agrees_with_eval(self, p, delta, x):
+        assert p.shift(delta).evaluate(x) == p.evaluate(x + delta)
+
+    @given(p=polys_st, a=fractions_st, b=fractions_st)
+    @settings(max_examples=60)
+    def test_fraction_shifts_compose(self, p, a, b):
+        assert p.shift(a).shift(b) == p.shift(a + b)
+
+    @given(a=coeffs_st, b=coeffs_st, c=scalars_st)
+    @settings(max_examples=80)
+    def test_arithmetic_matches_fraction_reference(self, a, b, c):
+        pa, pb = RationalPolynomial(a), RationalPolynomial(b)
+        assert (pa + pb).coefficients == padded_sum(a, b)
+        assert (pa - pb).coefficients == padded_sum(a, b, -1)
+        assert (-pa).coefficients == stripped(-x for x in a)
+        assert (pa * pb).coefficients == reference_product(a, b)
+        assert (pa * c).coefficients == stripped(x * c for x in a)
+        assert (c * pa).coefficients == stripped(x * c for x in a)
+
+    @given(terms=st.lists(st.tuples(scalars_st, coeffs_st), max_size=4))
+    @settings(max_examples=60)
+    def test_linear_combination_matches_fraction_reference(self, terms):
+        expected = ()
+        for c, cs in terms:
+            expected = padded_sum(expected, [c * x for x in cs])
+        combined = RationalPolynomial.linear_combination(
+            [(c, RationalPolynomial(cs)) for c, cs in terms]
+        )
+        assert combined.coefficients == expected
+
+    @given(cs=coeffs_st, k=st.integers(min_value=1, max_value=10 ** 6), other=polys_st)
+    def test_equal_polynomials_have_equal_hashes(self, cs, k, other):
+        p = RationalPolynomial(cs)
+        for same in (RationalPolynomial([c * k for c in cs], k), (p + other) - other):
+            assert same == p
+            assert hash(same) == hash(p)
+            assert repr(same) == repr(p)
+
+    @given(cs=coeffs_st, den=st.integers(max_value=0))
+    def test_non_positive_denominator_is_refused(self, cs, den):
+        with pytest.raises(ValueError):
+            RationalPolynomial(cs, den)
+
+    def test_non_integer_denominator_is_refused(self):
+        with pytest.raises(ValueError):
+            RationalPolynomial([1, 2], Fraction(1, 2))
 
 
 class TestInterpolation:

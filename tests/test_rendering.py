@@ -1,6 +1,7 @@
 """Rendering: exact decimal strings, fraction strings, document payloads."""
 
 import decimal
+import hashlib
 import json
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from bellpoly.rational_poly import RationalPolynomial
 from bellpoly.rendering import (
+    AUTO_POLY_THRESHOLD,
     FORMATS,
+    METHODS,
     OutputDocument,
     compute_value,
     decimal_expansion,
@@ -23,6 +26,12 @@ from bellpoly.rendering import (
 )
 
 B3 = RationalPolynomial([1, Fraction(5, 2), Fraction(3, 2)])
+
+# SHA-256 of render_poly(n, fmt) followed by render_asympt(n, 10**6 + n, 30,
+# fmt), for n = 1..25 and fmt in tsv, json, markdown in that order, as the
+# Fraction-coefficient polynomials rendered them. Any change to how
+# polynomials are stored or computed must leave these bytes alone.
+POLY_ASYMPT_SHA256 = "2af56e3dc520365bb6d629a79daeeb2268ad776162d95902322a52c0241c739b"
 
 
 class TestDecimalExpansion:
@@ -103,6 +112,25 @@ class TestComputeValue:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             compute_value(3, 2, "float64")
+
+    @given(
+        nm=st.one_of(
+            st.tuples(st.just(0), st.integers(min_value=0, max_value=3000)),
+            st.tuples(st.just(1), st.integers(min_value=0, max_value=3000)),
+            st.tuples(st.integers(min_value=0, max_value=20), st.just(0)),
+        ),
+        method=st.sampled_from(METHODS),
+    )
+    @settings(max_examples=80)
+    def test_edges_are_one_on_every_route(self, nm, method):
+        # B(0, m) = B(n, 0) = B(1, m) = 1; the polynomial route meets the
+        # constant polynomial 1 and evaluates at m = 0.
+        n, m = nm
+        if method == "auto":
+            expected_route = "poly" if m > AUTO_POLY_THRESHOLD else "recursion"
+        else:
+            expected_route = method
+        assert compute_value(n, m, method) == (1, expected_route)
 
 
 class TestDocuments:
@@ -209,6 +237,14 @@ class TestDocuments:
             "| ratio | 1502501/1500000 |\n"
             "| ratio_decimal | 1.001667 |\n"
         )
+
+    def test_poly_and_asympt_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(1, 26):
+            for fmt in FORMATS:
+                digest.update(render_poly(n, fmt).payload.encode())
+                digest.update(render_asympt(n, 10 ** 6 + n, 30, fmt).payload.encode())
+        assert digest.hexdigest() == POLY_ASYMPT_SHA256
 
     def test_every_payload_is_newline_terminated(self):
         docs = [
