@@ -31,7 +31,6 @@ from .combinatorics import (
 from .polynomial import (
     AsymptoticReport,
     BellPolynomial,
-    DifferencePolynomial,
     asymptotic_report,
     construct_bell_polynomial,
     difference_polynomial,
@@ -49,7 +48,6 @@ __all__ = [
     "BellTable",
     "BernoulliSequence",
     "ConsistencyError",
-    "DifferencePolynomial",
     "RationalPolynomial",
     "StirlingTable",
     "TruncatedEGF",

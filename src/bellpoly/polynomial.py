@@ -46,17 +46,6 @@ class BellPolynomial:
         return self.poly.shift(-1)
 
 
-@dataclass(frozen=True)
-class DifferencePolynomial:
-    """For fixed n >= 2, the polynomial d with d(m) = B(n, m) - B(n, m-1).
-
-    Degree n-2 with positive leading coefficient.
-    """
-
-    n: int
-    poly: RationalPolynomial
-
-
 def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     """Fit the unique degree-(n-1) polynomial through B(n, 0), ..., B(n, n-1).
 
@@ -98,14 +87,15 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
 
 def difference_polynomial(
     n: int, lower: Sequence[BellPolynomial]
-) -> DifferencePolynomial:
+) -> RationalPolynomial:
     """The polynomial d with d(m) = B(n, m) - B(n, m-1), for n >= 2.
 
     By the Stirling recursion the difference equals
     sum(B(k, m-1) * S(n, k) for k in 1..n-1); each B(k, m-1) is the
     k-th Bell polynomial shifted by -1 and re-expanded in m, which each
     BellPolynomial computes once. `lower` must hold the Bell polynomials
-    for 1..n-1 in order.
+    for 1..n-1 in order. d has degree n-2 and a positive leading
+    coefficient; anything else raises ConsistencyError.
     """
     if n < 2:
         raise ValueError("difference polynomials are defined for n >= 2")
@@ -119,7 +109,7 @@ def difference_polynomial(
             f"difference polynomial for n={n} has degree {total.degree} "
             f"and leading coefficient {total.leading_coefficient()}"
         )
-    return DifferencePolynomial(n, total)
+    return total
 
 
 def construct_bell_polynomial(n: int) -> BellPolynomial:
@@ -147,7 +137,7 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
         else:
             power_sums.append(faulhaber_polynomial(j - 2))
             diff = difference_polynomial(j, levels)
-            terms = zip(diff.poly.coefficients, power_sums)
+            terms = zip(diff.coefficients, power_sums)
             poly = RationalPolynomial.linear_combination(
                 [(1, RationalPolynomial.constant(1)), *terms]
             )

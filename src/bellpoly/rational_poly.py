@@ -67,6 +67,11 @@ class RationalPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
 
+    def __reduce__(self):
+        # The default slot-state restore would write through __setattr__;
+        # copy and pickle rebuild through the constructor instead.
+        return (type(self), (self._nums, self._den))
+
     @classmethod
     def zero(cls) -> RationalPolynomial:
         return cls()
@@ -74,12 +79,6 @@ class RationalPolynomial:
     @classmethod
     def constant(cls, value: Scalar) -> RationalPolynomial:
         return cls((value,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> RationalPolynomial:
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        return cls((0,) * power + (coeff,))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:

@@ -1,4 +1,10 @@
-"""Acceptance gate: the ten release criteria, one pass/fail line each.
+"""Acceptance gate: the ten release criteria, and every selfcheck invariant.
+
+Each invariant's loop is written once, in `bellpoly.selfcheck.CHECKS`;
+`test_invariant[<label>]` runs each check as its own test. Criteria 3-8
+run named checks from `CHECKS` and hold no arithmetic of their own;
+criteria 1, 2 and 9 keep their own goldens, and criterion 10 runs the
+whole `bell selfcheck` report.
 
 Each criterion runs as its own test and prints a single line of the
 form "criterion NN PASS/FAIL: <title>" (timed criteria include the
@@ -14,22 +20,9 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import (
-    bell_via_egf,
-    bell_via_recursion,
-    clear_caches,
-    construct_bell_polynomial,
-    factorial,
-    faulhaber_polynomial,
-    interpolate_bell_polynomial,
-    leading_coefficient,
-    power_sum_oracle,
-    stirling2,
-    verify_theorem,
-)
+from bellpoly import bell_via_recursion, clear_caches, leading_coefficient
 from bellpoly.cli import main
-from bellpoly.oracles import partition_block_counts
-from bellpoly.selfcheck import run_selfcheck
+from bellpoly.selfcheck import CHECKS, run_selfcheck
 
 GOLDEN_TABLE = (
     "m\tn=1\tn=2\tn=3\tn=4\tn=5\tn=6\tn=7\tn=8\n"
@@ -83,6 +76,13 @@ def criterion(request):
     return run
 
 
+def run_checks(*labels):
+    """Run the named `selfcheck.CHECKS` entries; each raises if it fails."""
+    checks = dict(CHECKS)
+    for label in labels:
+        checks[label]()
+
+
 def cli_output(argv):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -112,22 +112,18 @@ def test_criterion_02_large_m_values(criterion):
 
 def test_criterion_03_leading_coefficient(criterion):
     with criterion(3, "leading coefficient equals n!/2^(n-1) for n <= 10"):
-        for n in range(1, 11):
-            # raises unless interpolation, the halving recurrence, and
-            # the closed form all give the same top coefficient
-            assert verify_theorem(n) == Fraction(factorial(n), 2 ** (n - 1))
+        run_checks("leading coefficient n!/2^(n-1) via halving recurrence")
 
 
 def test_criterion_04_polynomial_shape(criterion):
     with criterion(
         4, "polynomial has degree n-1, constant term 1, rational coefficients (n <= 10)"
     ):
-        for n in range(1, 11):
-            p = interpolate_bell_polynomial(n).poly
-            assert p.degree == n - 1
-            assert p.constant_term() == 1
-            assert all(isinstance(c, Fraction) for c in p.coefficients)
-            assert p.evaluate(n) == bell_via_recursion(n, n)
+        run_checks(
+            "bell polynomial shape (degree, constant term, rational coefficients)",
+            "dual-construction equality",
+            "polynomial/recursion value consistency",
+        )
 
 
 def test_criterion_05_dual_construction(criterion):
@@ -135,43 +131,34 @@ def test_criterion_05_dual_construction(criterion):
         5, "interpolation and telescoping agree coefficient-for-coefficient (n <= 10)",
         limit=10.0,
     ):
-        for n in range(1, 11):
-            assert (
-                interpolate_bell_polynomial(n).poly
-                == construct_bell_polynomial(n).poly
-            )
+        run_checks("dual-construction equality")
 
 
 def test_criterion_06_cross_method(criterion):
     with criterion(
         6, "EGF iteration and Stirling recursion agree for n <= 12, m <= 6", limit=10.0
     ):
-        for n in range(1, 13):
-            for m in range(0, 7):
-                assert bell_via_egf(n, m) == bell_via_recursion(n, m)
+        run_checks("cross-method equivalence (EGF vs recursion)")
 
 
 def test_criterion_07_power_sums(criterion):
     with criterion(
         7, "power-sum polynomials match direct summation for r <= 12, m <= 200"
     ):
-        for r in range(0, 13):
-            p = faulhaber_polynomial(r)
-            assert p.leading_coefficient() == Fraction(1, r + 1)
-            for m in range(0, 201):
-                assert p.evaluate(m) == power_sum_oracle(r, m)
+        run_checks(
+            "faulhaber matches power-sum oracle",
+            "faulhaber shape (degree, constant term, leading 1/(r+1))",
+        )
 
 
 def test_criterion_08_stirling_oracle(criterion):
     with criterion(
         8, "Stirling numbers match set-partition enumeration for n <= 12"
     ):
-        for n in range(0, 13):
-            counts = partition_block_counts(n)
-            for k, count in enumerate(counts):
-                assert stirling2(n, k) == count
-            if n >= 2:
-                assert stirling2(n, n - 1) == n * (n - 1) // 2
+        run_checks(
+            "stirling2 matches set-partition enumeration",
+            "stirling2 near-diagonal identity S(n,n-1) = C(n,2)",
+        )
 
 
 def test_criterion_09_asymptotic_tolerance(criterion):
@@ -192,3 +179,9 @@ def test_criterion_10_selfcheck(criterion):
         assert run_selfcheck(stream=out) == 0
         report = json.dumps(out.getvalue())  # embed for the failure message
         assert "FAIL" not in out.getvalue(), report
+        assert out.getvalue().splitlines()[-1] == "selfcheck: all 19 invariants hold"
+
+
+@pytest.mark.parametrize("label, check", CHECKS, ids=[label for label, _ in CHECKS])
+def test_invariant(label, check):
+    check()

@@ -284,8 +284,3 @@ class TestSelfcheckFaultInjection:
         finally:
             monkeypatch.undo()
             bellpoly.clear_caches()
-
-    def test_intact_library_passes(self):
-        out = io.StringIO()
-        assert run_selfcheck(stream=out) == 0
-        assert out.getvalue().splitlines()[-1] == "selfcheck: all 19 invariants hold"
