@@ -22,8 +22,6 @@ from .combinatorics import (
     BernoulliSequence,
     StirlingTable,
     bernoulli,
-    binomial,
-    factorial,
     faulhaber_polynomial,
     power_sum_oracle,
     stirling2,
@@ -32,6 +30,7 @@ from .polynomial import (
     AsymptoticReport,
     BellPolynomial,
     asymptotic_report,
+    bell_via_polynomial,
     construct_bell_polynomial,
     difference_polynomial,
     interpolate_bell_polynomial,
@@ -53,14 +52,13 @@ __all__ = [
     "TruncatedEGF",
     "asymptotic_report",
     "bell_via_egf",
+    "bell_via_polynomial",
     "bell_via_recursion",
     "bernoulli",
-    "binomial",
     "clear_caches",
     "construct_bell_polynomial",
     "difference_polynomial",
     "egf_iterate",
-    "factorial",
     "faulhaber_polynomial",
     "interpolate_bell_polynomial",
     "leading_coefficient",

@@ -13,11 +13,12 @@ tests and the selfcheck suite require them to agree entry for entry.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import factorial, stirling2
+from .combinatorics import stirling2
 
 
 class ConsistencyError(ArithmeticError):
@@ -48,7 +49,7 @@ class TruncatedEGF:
         """The degree-`order` truncation of exp(x): a_j = 1/j!."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        return cls(tuple([Fraction(1, factorial(j)) for j in range(order + 1)]))
+        return cls(tuple([Fraction(1, math.factorial(j)) for j in range(order + 1)]))
 
     @property
     def order(self) -> int:
@@ -56,7 +57,7 @@ class TruncatedEGF:
 
     def integer_coefficient(self, n: int) -> int:
         """n! * a_n as an exact integer; raises if it is not integral."""
-        value = factorial(n) * self.coeffs[n]
+        value = math.factorial(n) * self.coeffs[n]
         if value.denominator != 1:
             raise ConsistencyError(f"{n}! * a_{n} = {value} is not an integer")
         return value.numerator

@@ -76,21 +76,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             if args.n_max < 1 or args.m_max < 1:
                 parser.error("--n-max and --m-max must be at least 1")
-            doc = render_table(args.n_max, args.m_max, args.format)
+            text = render_table(args.n_max, args.m_max, args.format)
         elif args.command == "value":
             if args.n < 0 or args.m < 0:
                 parser.error("--n and --m must be non-negative")
-            doc = render_value(args.n, args.m, args.method, args.format)
+            text = render_value(args.n, args.m, args.method, args.format)
         elif args.command == "poly":
             if args.n < 0 or (args.n == 0 and not args.allow_zero):
                 parser.error("--n must be at least 1 (or pass --allow-zero for n = 0)")
-            doc = render_poly(args.n, args.format)
+            text = render_poly(args.n, args.format)
         else:
             if args.n < 1 or args.m < 1:
                 parser.error("--n and --m must be at least 1")
             if args.digits < 0:
                 parser.error("--digits must be non-negative")
-            doc = render_asympt(args.n, args.m, args.digits, args.format)
+            text = render_asympt(args.n, args.m, args.digits, args.format)
     except ConsistencyError as exc:
         print(f"bell: {exc}", file=sys.stderr)
         return 1
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
-    sys.stdout.write(doc.payload)
+    sys.stdout.write(text)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Exact combinatorial building blocks.
 
-Stirling numbers of the second kind, binomials, factorials, Bernoulli
-numbers, and the closed-form polynomials for the power sums
-1**r + 2**r + ... + m**r. Everything is integer or Fraction arithmetic;
-nothing here is approximate.
+Stirling numbers of the second kind, Bernoulli numbers, and the
+closed-form polynomials for the power sums 1**r + 2**r + ... + m**r.
+Binomials and factorials are math.comb and math.factorial. Everything
+is integer or Fraction arithmetic; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class BernoulliSequence:
     """Bernoulli numbers b_0, b_1, ... under the b_1 = -1/2 convention.
 
     Values come from the defining recurrence
-    sum(binomial(k+1, j) * b_j for j in 0..k) = 0 for k >= 1, which
+    sum(comb(k+1, j) * b_j for j in 0..k) = 0 for k >= 1, which
     forces b_1 = -1/2 and b_k = 0 for odd k >= 3. Memoized; fills are
     lock-guarded.
     """
@@ -83,15 +83,6 @@ def stirling2(n: int, k: int) -> int:
     return _STIRLING.value(n, k)
 
 
-def binomial(n: int, k: int) -> int:
-    """n choose k; zero when k > n."""
-    return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def bernoulli(k: int) -> Fraction:
     """The Bernoulli number b_k (with b_1 = -1/2)."""
     return _BERNOULLI.value(k)
@@ -115,7 +106,7 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
     (it is the b_1 term under the b_1 = +1/2 convention):
 
         P_r(m) = m**(r+1)/(r+1) + m**r/2
-                 + sum(binomial(r+1, j) * b_j * m**(r+1-j) / (r+1)
+                 + sum(comb(r+1, j) * b_j * m**(r+1-j) / (r+1)
                        for even j in 2..r)
 
     Degree is exactly r+1, the constant term is zero, and the leading

@@ -15,17 +15,21 @@ coefficient n!/2**(n-1). Two independent constructions are provided:
 
 The two must agree coefficient for coefficient; any mismatch raises
 ConsistencyError rather than being silently ignored.
+
+bell_via_polynomial evaluates the constructed polynomial at m, a value
+route whose cost does not grow with m.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .bell_numbers import ConsistencyError, bell_via_recursion
-from .combinatorics import factorial, faulhaber_polynomial, stirling2
+from .combinatorics import faulhaber_polynomial, stirling2
 from .rational_poly import RationalPolynomial
 
 
@@ -63,11 +67,11 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     if n == 0:
         return BellPolynomial(0, RationalPolynomial.constant(1))
     row = [bell_via_recursion(n, mm) for mm in range(n)]
-    scale = factorial(n - 1)
+    scale = math.factorial(n - 1)
     numerators = [0] * n
     falling = [1]  # coefficients of m(m-1)...(m-k+1), lowest power first
     for k in range(n):
-        weight = row[0] * (scale // factorial(k))  # a_k * (n-1)!/k!
+        weight = row[0] * (scale // math.factorial(k))  # a_k * (n-1)!/k!
         for i, c in enumerate(falling):
             numerators[i] += weight * c
         row = [b - a for a, b in zip(row, row[1:])]
@@ -151,6 +155,20 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
     return levels[-1]
 
 
+def bell_via_polynomial(n: int, m: int) -> int:
+    """B(n, m) by evaluating the telescoped Bell polynomial at m.
+
+    Cost grows with n but not with m. A non-integer value means the
+    construction is broken and raises ConsistencyError.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("Bell numbers need non-negative indices")
+    value = construct_bell_polynomial(n).poly.evaluate(m)
+    if value.denominator != 1:
+        raise ConsistencyError(f"B({n}, {m}) evaluated to non-integer {value}")
+    return value.numerator
+
+
 def leading_coefficient(n: int) -> Fraction:
     """Top coefficient of the Bell polynomial, built by its own recurrence.
 
@@ -178,7 +196,7 @@ def verify_theorem(n: int) -> Fraction:
         raise ValueError("the leading-coefficient law starts at n = 1")
     fitted = interpolate_bell_polynomial(n).poly.leading_coefficient()
     iterated = leading_coefficient(n)
-    closed = Fraction(factorial(n), 2 ** (n - 1))
+    closed = Fraction(math.factorial(n), 2 ** (n - 1))
     if not (fitted == iterated == closed):
         raise ConsistencyError(
             f"leading coefficient for n={n}: interpolation gives {fitted}, "
@@ -200,9 +218,6 @@ def asymptotic_report(n: int, m: int) -> AsymptoticReport:
     """Compare the exact value with the leading term; ratio -> 1 as m grows."""
     if n < 1 or m < 1:
         raise ValueError("asymptotic reports need n >= 1 and m >= 1")
-    value = construct_bell_polynomial(n).poly.evaluate(m)
-    if value.denominator != 1:
-        raise ConsistencyError(f"B({n}, {m}) evaluated to non-integer {value}")
-    exact = value.numerator
+    exact = bell_via_polynomial(n, m)
     leading = leading_coefficient(n) * m ** (n - 1)
     return AsymptoticReport(exact=exact, leading=leading, ratio=Fraction(exact) / leading)

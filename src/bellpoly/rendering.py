@@ -1,6 +1,7 @@
 """Exact text rendering for the CLI: tables, values, polynomials, ratios.
 
-No value ever passes through binary floating point; every digit comes
+Each render_* function returns the output text as a plain str. No
+value ever passes through binary floating point; every digit comes
 from integer arithmetic. Rendering is byte-stable: the same inputs
 produce the same bytes, lines end with a single newline, and JSON
 carries big integers and rationals as strings so no consumer truncates
@@ -10,14 +11,13 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .bell_numbers import bell_via_egf, bell_via_recursion
 from .polynomial import (
-    ConsistencyError,
     asymptotic_report,
+    bell_via_polynomial,
     construct_bell_polynomial,
     leading_coefficient,
 )
@@ -28,14 +28,6 @@ METHODS = ("egf", "recursion", "poly", "auto")
 
 # method=auto switches to the polynomial route past this m
 AUTO_POLY_THRESHOLD = 1000
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    """A rendered payload plus the format it was rendered in."""
-
-    format: str
-    payload: str
 
 
 def fraction_str(value: Fraction) -> str:
@@ -100,10 +92,7 @@ def compute_value(n: int, m: int, method: str = "auto") -> tuple[int, str]:
     if method == "recursion":
         return bell_via_recursion(n, m), method
     if method == "poly":
-        value = construct_bell_polynomial(n).poly.evaluate(m)
-        if value.denominator != 1:
-            raise ConsistencyError(f"B({n}, {m}) evaluated to non-integer {value}")
-        return value.numerator, method
+        return bell_via_polynomial(n, m), method
     raise ValueError(f"unknown method: {method}")
 
 
@@ -114,28 +103,25 @@ def _document(
     header: list[str],
     rows: list[Sequence[str]],
     title: Callable[[], str] | None = None,
-) -> OutputDocument:
-    """The one place content becomes json, tsv or markdown bytes.
+) -> str:
+    """The one place content becomes json, tsv or markdown text.
 
     `doc` is the JSON object, `tsv_rows` the tab-separated lines, and
     `header` and `rows` the markdown table. `title` is called only for
     markdown; its line and a blank line go above the table.
     """
     if fmt == "json":
-        payload = json.dumps(doc) + "\n"
-    elif fmt == "tsv":
-        payload = "".join("\t".join(row) + "\n" for row in tsv_rows)
-    elif fmt == "markdown":
+        return json.dumps(doc) + "\n"
+    if fmt == "tsv":
+        return "".join("\t".join(row) + "\n" for row in tsv_rows)
+    if fmt == "markdown":
         lines = [header, ["---"] * len(header), *rows]
-        payload = "".join("| " + " | ".join(row) + " |\n" for row in lines)
-        if title is not None:
-            payload = f"{title()}\n\n{payload}"
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-    return OutputDocument(fmt, payload)
+        table = "".join("| " + " | ".join(row) + " |\n" for row in lines)
+        return table if title is None else f"{title()}\n\n{table}"
+    raise ValueError(f"unknown format: {fmt}")
 
 
-def render_table(n_max: int, m_max: int, fmt: str) -> OutputDocument:
+def render_table(n_max: int, m_max: int, fmt: str) -> str:
     """The grid of B(n, m) for 1 <= n <= n_max, 1 <= m <= m_max."""
     if n_max < 1 or m_max < 1:
         raise ValueError("table bounds must be at least 1")
@@ -153,7 +139,7 @@ def render_table(n_max: int, m_max: int, fmt: str) -> OutputDocument:
     return _document(fmt, doc, [header, *rows], header, rows)
 
 
-def render_value(n: int, m: int, method: str, fmt: str) -> OutputDocument:
+def render_value(n: int, m: int, method: str, fmt: str) -> str:
     """A single B(n, m) as a decimal string."""
     value, resolved = compute_value(n, m, method)
     text = str(value)
@@ -166,7 +152,7 @@ def render_value(n: int, m: int, method: str, fmt: str) -> OutputDocument:
     )
 
 
-def render_poly(n: int, fmt: str) -> OutputDocument:
+def render_poly(n: int, fmt: str) -> str:
     """Coefficients c_0..c_{n-1} of the Bell polynomial, exact.
 
     Also reports the expected leading value n!/2**(n-1) and whether the
@@ -191,7 +177,7 @@ def render_poly(n: int, fmt: str) -> OutputDocument:
     )
 
 
-def render_asympt(n: int, m: int, digits: int, fmt: str) -> OutputDocument:
+def render_asympt(n: int, m: int, digits: int, fmt: str) -> str:
     """Exact value, leading term and their ratio (exact plus decimal)."""
     report = asymptotic_report(n, m)
     fields = [

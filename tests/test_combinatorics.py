@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from bellpoly import (
     bernoulli,
-    binomial,
     clear_caches,
-    factorial,
     faulhaber_polynomial,
     power_sum_oracle,
     stirling2,
@@ -43,28 +41,6 @@ class TestStirling:
     @given(n=st.integers(min_value=1, max_value=40), k=st.integers(min_value=1, max_value=45))
     def test_recurrence(self, n, k):
         assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-class TestBinomialFactorial:
-    def test_known_values(self):
-        assert binomial(6, 2) == 15
-        assert binomial(5, 0) == 1
-        assert binomial(4, 7) == 0
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-        assert factorial(8) == 40320
-
-    def test_pascal_triangle(self):
-        row = [1]
-        for n in range(1, 15):
-            row = [1] + [row[j] + row[j + 1] for j in range(len(row) - 1)] + [1]
-            assert [binomial(n, k) for k in range(n + 1)] == row
-
-    def test_factorial_product(self):
-        acc = 1
-        for n in range(1, 15):
-            acc *= n
-            assert factorial(n) == acc
 
 
 class TestBernoulli:

@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import bellpoly.polynomial
 from bellpoly import (
+    BellPolynomial,
     ConsistencyError,
     asymptotic_report,
     bell_via_egf,
+    bell_via_polynomial,
     bell_via_recursion,
     construct_bell_polynomial,
     difference_polynomial,
-    factorial,
     interpolate_bell_polynomial,
     leading_coefficient,
     verify_theorem,
@@ -328,6 +329,16 @@ class TestLeadingCoefficient:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             leading_coefficient(0)
+
+
+class TestValueRoute:
+    def test_non_integer_value_raises_through_both_callers(self, monkeypatch):
+        half = BellPolynomial(3, RationalPolynomial([Fraction(1, 2)]))
+        monkeypatch.setattr(bellpoly.polynomial, "construct_bell_polynomial", lambda n: half)
+        with pytest.raises(ConsistencyError, match=r"B\(3, 2\) evaluated to non-integer 1/2"):
+            bell_via_polynomial(3, 2)
+        with pytest.raises(ConsistencyError, match="non-integer"):
+            asymptotic_report(3, 2)
 
 
 class TestAsymptotics:

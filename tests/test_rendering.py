@@ -1,4 +1,4 @@
-"""Rendering: exact decimal strings, fraction strings, document payloads."""
+"""Rendering: exact decimal strings, fraction strings, rendered payloads."""
 
 import decimal
 import hashlib
@@ -14,7 +14,6 @@ from bellpoly.rendering import (
     AUTO_POLY_THRESHOLD,
     FORMATS,
     METHODS,
-    OutputDocument,
     compute_value,
     decimal_expansion,
     fraction_str,
@@ -113,6 +112,12 @@ class TestComputeValue:
         with pytest.raises(ValueError):
             compute_value(3, 2, "float64")
 
+    @pytest.mark.parametrize("method", ["egf", "recursion", "poly"])
+    def test_rejects_negative_m_on_every_route(self, method):
+        # B_3(m) = (3/2)m^2 + (5/2)m + 1 is 0 at m = -1, which is no Bell number.
+        with pytest.raises(ValueError):
+            compute_value(3, -1, method)
+
     @given(
         nm=st.one_of(
             st.tuples(st.just(0), st.integers(min_value=0, max_value=3000)),
@@ -135,13 +140,10 @@ class TestComputeValue:
 
 class TestDocuments:
     def test_table_tsv(self):
-        doc = render_table(3, 2, "tsv")
-        assert doc == OutputDocument(
-            "tsv", "m\tn=1\tn=2\tn=3\n1\t1\t2\t5\n2\t1\t3\t12\n"
-        )
+        assert render_table(3, 2, "tsv") == "m\tn=1\tn=2\tn=3\n1\t1\t2\t5\n2\t1\t3\t12\n"
 
     def test_table_json(self):
-        doc = json.loads(render_table(3, 2, "json").payload)
+        doc = json.loads(render_table(3, 2, "json"))
         assert doc == {
             "n_max": 3,
             "m_max": 2,
@@ -152,7 +154,7 @@ class TestDocuments:
         }
 
     def test_table_markdown(self):
-        lines = render_table(2, 1, "markdown").payload.splitlines()
+        lines = render_table(2, 1, "markdown").splitlines()
         assert lines == [
             "| m | n=1 | n=2 |",
             "| --- | --- | --- |",
@@ -166,17 +168,17 @@ class TestDocuments:
             render_table(5, 2, "yaml")
 
     def test_value_payloads(self):
-        assert render_value(5, 3, "recursion", "tsv").payload == "1304\n"
-        doc = json.loads(render_value(5, 3, "auto", "json").payload)
+        assert render_value(5, 3, "recursion", "tsv") == "1304\n"
+        doc = json.loads(render_value(5, 3, "auto", "json"))
         assert doc == {"n": 5, "m": 3, "method": "recursion", "value": "1304"}
-        assert render_value(5, 3, "auto", "markdown").payload == (
+        assert render_value(5, 3, "auto", "markdown") == (
             "| n | m | method | value |\n"
             "| --- | --- | --- | --- |\n"
             "| 5 | 3 | recursion | 1304 |\n"
         )
 
     def test_poly_json_schema(self):
-        doc = json.loads(render_poly(3, "json").payload)
+        doc = json.loads(render_poly(3, "json"))
         assert doc == {
             "n": 3,
             "coefficients": ["1", "5/2", "3/2"],
@@ -185,7 +187,7 @@ class TestDocuments:
         }
 
     def test_poly_degenerate_zero(self):
-        doc = json.loads(render_poly(0, "json").payload)
+        doc = json.loads(render_poly(0, "json"))
         assert doc == {
             "n": 0,
             "coefficients": ["1"],
@@ -194,12 +196,12 @@ class TestDocuments:
         }
 
     def test_poly_tsv(self):
-        assert render_poly(2, "tsv").payload == (
+        assert render_poly(2, "tsv") == (
             "n\t2\nc_0\t1\nc_1\t1\nleading_theorem\t1\nmatch\ttrue\n"
         )
 
     def test_poly_markdown_shows_polynomial(self):
-        assert render_poly(3, "markdown").payload == (
+        assert render_poly(3, "markdown") == (
             "B_3(m) = (3/2)m^2 + (5/2)m + 1\n"
             "\n"
             "| coefficient | value |\n"
@@ -212,12 +214,12 @@ class TestDocuments:
         )
 
     def test_asympt_fields(self):
-        payload = render_asympt(3, 1000, 6, "tsv").payload
+        payload = render_asympt(3, 1000, 6, "tsv")
         assert payload == (
             "n\t3\nm\t1000\nexact\t1502501\nleading\t1500000\n"
             "ratio\t1502501/1500000\nratio_decimal\t1.001667\n"
         )
-        doc = json.loads(render_asympt(3, 1000, 6, "json").payload)
+        doc = json.loads(render_asympt(3, 1000, 6, "json"))
         assert doc == {
             "n": 3,
             "m": 1000,
@@ -227,7 +229,7 @@ class TestDocuments:
             "ratio": "1502501/1500000",
             "ratio_decimal": "1.001667",
         }
-        assert render_asympt(3, 1000, 6, "markdown").payload == (
+        assert render_asympt(3, 1000, 6, "markdown") == (
             "| field | value |\n"
             "| --- | --- |\n"
             "| n | 3 |\n"
@@ -242,8 +244,8 @@ class TestDocuments:
         digest = hashlib.sha256()
         for n in range(1, 26):
             for fmt in FORMATS:
-                digest.update(render_poly(n, fmt).payload.encode())
-                digest.update(render_asympt(n, 10 ** 6 + n, 30, fmt).payload.encode())
+                digest.update(render_poly(n, fmt).encode())
+                digest.update(render_asympt(n, 10 ** 6 + n, 30, fmt).encode())
         assert digest.hexdigest() == POLY_ASYMPT_SHA256
 
     def test_every_payload_is_newline_terminated(self):
@@ -257,6 +259,6 @@ class TestDocuments:
             render_asympt(4, 9, 3, fmt) for fmt in FORMATS
         ]
         for doc in docs:
-            assert doc.payload.endswith("\n")
-            assert not doc.payload.endswith("\n\n")
-            assert "\r" not in doc.payload
+            assert doc.endswith("\n")
+            assert not doc.endswith("\n\n")
+            assert "\r" not in doc
