@@ -14,32 +14,32 @@ tests and the selfcheck suite require them to agree entry for entry.
 from __future__ import annotations
 
 import math
+import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import stirling2
+from .records import Record
 
 
 class ConsistencyError(ArithmeticError):
     """An exact cross-check that must hold mathematically failed."""
 
 
-@dataclass(frozen=True)
-class TruncatedEGF:
+class TruncatedEGF(Record):
     """Degree-N truncation of an exponential generating function.
 
     coeffs[j] is the plain x**j coefficient a_j. For every iterate of
     the exponential map, a_0 = 1 and j! * a_j is the integer B(j, m).
     """
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[Fraction, ...]):
         # From a list, not a generator: a tuple built from a generator is
         # resized, and every EGF step would leave one in CPython's
         # per-size tuple free lists until they hold thousands.
-        coeffs = tuple([Fraction(c) for c in self.coeffs])
+        coeffs = tuple([Fraction(c) for c in coeffs])
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         object.__setattr__(self, "coeffs", coeffs)
@@ -118,19 +118,24 @@ class BellTable:
         return self._entries[key]
 
     def _fill(self, n: int, m: int) -> None:
+        """Store every missing B(nn, mm) with nn <= n and mm <= m.
+
+        Each level's Stirling row S(nn, 1..nn) is read once per fill, and
+        the previous m-row B(1..n, mm-1) is carried as a list, starting
+        from the all-ones row m = 0.
+        """
         entries = self._entries
+        stirling = [[stirling2(nn, k) for k in range(1, nn + 1)] for nn in range(n + 1)]
+        previous = [1] * n
         for mm in range(1, m + 1):
+            row = []
             for nn in range(1, n + 1):
-                if (nn, mm) in entries:
-                    continue
-                if mm == 1:
-                    total = sum(stirling2(nn, k) for k in range(1, nn + 1))
-                else:
-                    total = sum(
-                        entries[(k, mm - 1)] * stirling2(nn, k)
-                        for k in range(1, nn + 1)
-                    )
-                entries[(nn, mm)] = total
+                total = entries.get((nn, mm))
+                if total is None:
+                    total = sum(map(operator.mul, stirling[nn], previous))
+                    entries[(nn, mm)] = total
+                row.append(total)
+            previous = row
 
 
 _BELL = BellTable()

@@ -23,7 +23,6 @@ route whose cost does not grow with m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -31,18 +30,21 @@ from typing import Sequence
 from .bell_numbers import ConsistencyError, bell_via_recursion
 from .combinatorics import faulhaber_polynomial, stirling2
 from .rational_poly import RationalPolynomial
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BellPolynomial:
+class BellPolynomial(Record):
     """For fixed n, the polynomial p with p(m) = B(n, m) for natural m.
 
     Degree n-1 with constant term 1 for n >= 1; the degenerate n = 0 is
     the constant polynomial 1 (an extension, since B(0, m) = 1).
     """
 
-    n: int
-    poly: RationalPolynomial
+    _fields = ("n", "poly")
+
+    def __init__(self, n: int, poly: RationalPolynomial):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "poly", poly)
 
     @cached_property
     def shifted(self) -> RationalPolynomial:
@@ -205,13 +207,15 @@ def verify_theorem(n: int) -> Fraction:
     return closed
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """B(n, m) against its leading term (n!/2**(n-1)) * m**(n-1)."""
 
-    exact: int
-    leading: Fraction
-    ratio: Fraction
+    _fields = ("exact", "leading", "ratio")
+
+    def __init__(self, exact: int, leading: Fraction, ratio: Fraction):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "leading", leading)
+        object.__setattr__(self, "ratio", ratio)
 
 
 def asymptotic_report(n: int, m: int) -> AsymptoticReport:

@@ -10,7 +10,6 @@ them.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -83,10 +82,16 @@ def polynomial_str(p: RationalPolynomial, var: str = "m") -> str:
     return " ".join(pieces)
 
 
+def resolve_method(m: int, method: str) -> str:
+    """The route `method` names at this m; auto picks one by m."""
+    if method == "auto":
+        return "poly" if m > AUTO_POLY_THRESHOLD else "recursion"
+    return method
+
+
 def compute_value(n: int, m: int, method: str = "auto") -> tuple[int, str]:
     """B(n, m) by the requested route; returns (value, resolved method)."""
-    if method == "auto":
-        method = "poly" if m > AUTO_POLY_THRESHOLD else "recursion"
+    method = resolve_method(m, method)
     if method == "egf":
         return bell_via_egf(n, m), method
     if method == "recursion":
@@ -111,6 +116,8 @@ def _document(
     markdown; its line and a blank line go above the table.
     """
     if fmt == "json":
+        import json  # only json output needs it; a cold start skips the import
+
         return json.dumps(doc) + "\n"
     if fmt == "tsv":
         return "".join("\t".join(row) + "\n" for row in tsv_rows)
@@ -125,6 +132,7 @@ def render_table(n_max: int, m_max: int, fmt: str) -> str:
     """The grid of B(n, m) for 1 <= n <= n_max, 1 <= m <= m_max."""
     if n_max < 1 or m_max < 1:
         raise ValueError("table bounds must be at least 1")
+    bell_via_recursion(n_max, m_max)  # one fill; every cell below is then a hit
     grid = [
         (m, [str(bell_via_recursion(n, m)) for n in range(1, n_max + 1)])
         for m in range(1, m_max + 1)

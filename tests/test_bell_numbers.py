@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bellpoly import (
+    BellTable,
     TruncatedEGF,
     bell_via_egf,
     bell_via_recursion,
@@ -66,3 +67,17 @@ class TestValues:
             bell_via_recursion(2, -1)
         with pytest.raises(ValueError):
             bell_via_egf(-3, 1)
+
+    def test_scattered_fills_match_one_fill(self):
+        # Each fill reads its own Stirling rows and carries its own previous
+        # row; later fills must pick up the cells earlier ones left behind.
+        whole = BellTable()
+        whole.value(15, 64)
+        scattered = BellTable()
+        for n, m in ((3, 40), (12, 5), (8, 41), (15, 64)):
+            assert scattered.value(n, m) == whole.value(n, m)
+        for n in range(1, 16):
+            for m in range(1, 65):
+                assert scattered.value(n, m) == whole.value(n, m)
+        for m, row in KNOWN_GRID.items():
+            assert [scattered.value(n, m) for n in range(1, 9)] == row

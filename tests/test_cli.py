@@ -6,11 +6,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import bellpoly
 import bellpoly.bell_numbers
+import bellpoly.cli
 import bellpoly.polynomial
 from bellpoly.cli import main
 from bellpoly.selfcheck import run_selfcheck
@@ -244,6 +246,77 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("bell: 5! * a_5 = ") and err.endswith(" is not an integer\n")
         assert err.count("\n") == 1
+
+
+class TestWorkLimits:
+    RENDERERS = ("render_table", "render_value", "render_poly", "render_asympt")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["value", "--n", "64", "--m", "119", "--method", "egf"],
+             "--m must be at most 118 on the egf route at --n 64"),
+            (["value", "--n", "0", "--m", "500001", "--method", "egf"],
+             "--m must be at most 500000 on the egf route at --n 0"),
+            (["value", "--n", "10", "--m", "10001", "--method", "recursion"],
+             "--n times --m must be at most 100000 on the recursion route"),
+            (["value", "--n", "65", "--m", "2"], "--n must be at most 64"),
+            (["value", "--n", "65", "--m", "10000000", "--method", "poly"],
+             "--n must be at most 64"),
+            (["poly", "--n", "65"], "--n must be at most 64"),
+            (["asympt", "--n", "65", "--m", "5"], "--n must be at most 64"),
+            (["asympt", "--n", "3", "--m", "5", "--digits", "100001"],
+             "--digits must be at most 100000"),
+            (["table", "--n-max", "65", "--m-max", "1"], "--n-max must be at most 64"),
+            (["table", "--n-max", "10", "--m-max", "10001"],
+             "--n-max times --m-max must be at most 100000"),
+        ],
+    )
+    def test_impossible_work_is_refused_before_it_starts(self, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError(f"{argv} started work past a limit")
+
+        for name in self.RENDERERS:
+            monkeypatch.setattr(bellpoly.cli, name, never)
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                main(argv)
+        assert exc.value.code == 2
+        lines = err.getvalue().splitlines()
+        assert lines[-1] == f"bell: error: {message}"
+        assert sum("error:" in line for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["value", "--n", "64", "--m", "118", "--method", "egf"],
+            ["value", "--n", "0", "--m", "500000", "--method", "egf"],
+            ["value", "--n", "50", "--m", "2000", "--method", "recursion"],
+            ["value", "--n", "64", "--m", "1000", "--method", "auto"],
+            ["value", "--n", "64", "--m", "10000000"],
+            ["poly", "--n", "64"],
+            ["asympt", "--n", "64", "--m", "5", "--digits", "100000"],
+            ["table", "--n-max", "64", "--m-max", "1562"],
+        ],
+    )
+    def test_largest_inputs_are_accepted(self, monkeypatch, argv):
+        # The work is stubbed out: this checks the limits, not the routes.
+        for name in self.RENDERERS:
+            monkeypatch.setattr(bellpoly.cli, name, lambda *args: "stub\n")
+        assert run_cli(argv) == (0, "stub\n")
+
+    def test_cold_import_skips_unused_modules_and_loads_every_layer(self):
+        # -S keeps site hooks from importing anything before bellpoly does.
+        code = "import sys, bellpoly.cli; print(' '.join(sys.modules))"
+        env = {"PYTHONPATH": str(Path(bellpoly.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        loaded = set(proc.stdout.split())
+        assert not loaded & {"dataclasses", "inspect", "json"}
+        layers = ("bell_numbers", "polynomial", "rational_poly", "combinatorics",
+                  "rendering", "oracles", "selfcheck", "cli")
+        assert {f"bellpoly.{layer}" for layer in layers} <= loaded
 
 
 class TestByteStability:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import bellpoly.polynomial
 from bellpoly import (
+    AsymptoticReport,
     BellPolynomial,
     ConsistencyError,
+    TruncatedEGF,
     asymptotic_report,
     bell_via_egf,
     bell_via_polynomial,
@@ -196,16 +198,50 @@ def test_copies_are_equal_with_equal_hashes(copier):
         RationalPolynomial.constant(5),
         RationalPolynomial([Fraction(1, 3), 0, Fraction(-7, 4)]),
         bell,
+        TruncatedEGF.exponential(5),
+        asymptotic_report(4, 100),
     ]
     for original in originals:
         same = copier(original)
         assert same == original
         assert hash(same) == hash(original)
+        assert repr(same) == repr(original)
     shifted = bell.shifted  # now cached on the instance, and copied with it
     same = copier(bell)
     assert same == bell
     assert hash(same) == hash(bell)
     assert same.shifted == shifted
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (TruncatedEGF.exponential(3), "coeffs"),
+        (BellPolynomial(2, RationalPolynomial([1, 1])), "poly"),
+        (AsymptoticReport(exact=176, leading=Fraction(150), ratio=Fraction(88, 75)), "ratio"),
+    ],
+    ids=["TruncatedEGF", "BellPolynomial", "AsymptoticReport"],
+)
+def test_records_are_immutable(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+def test_records_compare_by_class_and_fields():
+    report = AsymptoticReport(exact=176, leading=Fraction(150), ratio=Fraction(88, 75))
+    assert report == asymptotic_report(3, 10)
+    assert report != (176, Fraction(150), Fraction(88, 75))
+    assert repr(report) == (
+        "AsymptoticReport(exact=176, leading=Fraction(150, 1), ratio=Fraction(88, 75))"
+    )
+    line = RationalPolynomial([1, 1])
+    assert BellPolynomial(2, line) != BellPolynomial(3, line)
 
 
 class TestInterpolation:
