@@ -120,19 +120,28 @@ class BellTable:
     def _fill(self, n: int, m: int) -> None:
         """Store every missing B(nn, mm) with nn <= n and mm <= m.
 
-        Each level's Stirling row S(nn, 1..nn) is read once per fill, and
-        the previous m-row B(1..n, mm-1) is carried as a list, starting
-        from the all-ones row m = 0.
+        Every fill stores a whole rectangle [1..n] x [1..m], so the stored
+        cells form a staircase: if (n, mm) is stored, so is every
+        (nn, mm') with nn <= n and mm' <= mm. The fill starts from the
+        highest such m-row, carried as a list (the all-ones row m = 0 if
+        there is none), and reads a level's Stirling row S(nn, 1..nn)
+        only when that level has a missing cell, once per fill.
         """
         entries = self._entries
-        stirling = [[stirling2(nn, k) for k in range(1, nn + 1)] for nn in range(n + 1)]
-        previous = [1] * n
-        for mm in range(1, m + 1):
+        start = m - 1
+        while start > 0 and (n, start) not in entries:
+            start -= 1
+        previous = [entries[(nn, start)] for nn in range(1, n + 1)] if start else [1] * n
+        stirling: dict[int, list[int]] = {}
+        for mm in range(start + 1, m + 1):
             row = []
             for nn in range(1, n + 1):
                 total = entries.get((nn, mm))
                 if total is None:
-                    total = sum(map(operator.mul, stirling[nn], previous))
+                    weights = stirling.get(nn)
+                    if weights is None:
+                        weights = stirling[nn] = [stirling2(nn, k) for k in range(1, nn + 1)]
+                    total = sum(map(operator.mul, weights, previous))
                     entries[(nn, mm)] = total
                 row.append(total)
             previous = row

@@ -123,7 +123,7 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
         nums[r] = scale // 2 * (r + 1)
     for j, b in evens:
         nums[r + 1 - j] = math.comb(r + 1, j) * b.numerator * (scale // b.denominator)
-    return RationalPolynomial(nums, scale * (r + 1))
+    return RationalPolynomial.from_numerators(nums, scale * (r + 1))
 
 
 def _reset_tables() -> None:

@@ -23,14 +23,17 @@ route whose cost does not grow with m.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .bell_numbers import ConsistencyError, bell_via_recursion
 from .combinatorics import faulhaber_polynomial, stirling2
 from .rational_poly import RationalPolynomial
 from .records import Record
+
+# B(0, m) = B(1, m) = 1, and each telescoped level starts from 1.
+_ONE = RationalPolynomial.constant(1)
 
 
 class BellPolynomial(Record):
@@ -57,30 +60,36 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
 
     B_n is integer-valued, so by Polya it is an integer combination
     sum(a_k * C(m, k) for k in 0..n-1) of binomials, and the a_k are the
-    forward differences of the samples at m = 0. The Newton form is
-    expanded on the falling factorials m(m-1)...(m-k+1) in integers over
-    the one denominator (n-1)!, which the polynomial takes as is. The
-    fresh sample at m = n must land on the fitted polynomial; a mismatch
-    would mean the polynomial form does not hold (or the arithmetic is
-    broken) and raises ConsistencyError.
+    forward differences of the samples at m = 0. Over the one
+    denominator (n-1)!, with w_k = a_k * (n-1)!/k!, the Newton form is
+    nested as
+
+        w_0 + m*(w_1 + (m-1)*(w_2 + ... + (m-n+2)*w_{n-1}))
+
+    and expanded innermost term first, one multiplication by (m - k)
+    per step, all in integers in one list. The fresh sample at m = n
+    must land on the fitted polynomial; a mismatch would mean the
+    polynomial form does not hold (or the arithmetic is broken) and
+    raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return BellPolynomial(0, RationalPolynomial.constant(1))
-    row = [bell_via_recursion(n, mm) for mm in range(n)]
-    scale = math.factorial(n - 1)
-    numerators = [0] * n
-    falling = [1]  # coefficients of m(m-1)...(m-k+1), lowest power first
-    for k in range(n):
-        weight = row[0] * (scale // math.factorial(k))  # a_k * (n-1)!/k!
-        for i, c in enumerate(falling):
-            numerators[i] += weight * c
-        row = [b - a for a, b in zip(row, row[1:])]
-        falling = [0] + falling  # times (m - k)
-        for i in range(k + 1):
-            falling[i] -= k * falling[i + 1]
-    poly = RationalPolynomial(numerators, scale)
+        return BellPolynomial(0, _ONE)
+    c = [bell_via_recursion(n, mm) for mm in range(n)]
+    for k in range(1, n):  # c[k] becomes the k-th forward difference a_k
+        for i in range(n - 1, k - 1, -1):
+            c[i] -= c[i - 1]
+    ratio = 1
+    for k in range(n - 1, -1, -1):  # c[k] becomes w_k = a_k * (n-1)!/k!
+        c[k] *= ratio
+        ratio *= k
+    # c[k+1:] holds the expanded inner part, lowest power first; times
+    # (m - k) plus w_k gives c[k:].
+    for k in range(n - 2, -1, -1):
+        for i in range(k, n - 1):
+            c[i] -= k * c[i + 1]
+    poly = RationalPolynomial.from_numerators(c, math.factorial(n - 1))
     held_out = poly.evaluate(n)
     expected = bell_via_recursion(n, n)
     if held_out != expected:
@@ -110,7 +119,7 @@ def difference_polynomial(
     total = RationalPolynomial.linear_combination(
         [(stirling2(n, k), lower[k - 1].shifted) for k in range(1, n)]
     )
-    if total.degree != n - 2 or total.leading_coefficient() <= 0:
+    if total.degree != n - 2 or total.numerators[-1] <= 0:
         raise ConsistencyError(
             f"difference polynomial for n={n} has degree {total.degree} "
             f"and leading coefficient {total.leading_coefficient()}"
@@ -126,26 +135,27 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
 
         B(j, m) = 1 + sum(d_r * P_r(m) for r in 0..j-2),
 
-    where P_r is the power-sum polynomial. Each level is shifted once
-    and each P_r is built once, so one call makes n-1 shifts. Every
-    level is checked against the interpolation route; any coefficient
-    mismatch raises ConsistencyError.
+    where P_r is the power-sum polynomial. The sum runs in integers:
+    d's integer numerators weight the P_r over d's one denominator.
+    Each level is shifted once and each P_r is built once, so one call
+    makes n-1 shifts. Every level is checked against the interpolation
+    route; any coefficient mismatch raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return BellPolynomial(0, RationalPolynomial.constant(1))
+        return BellPolynomial(0, _ONE)
     levels: list[BellPolynomial] = []
     power_sums: list[RationalPolynomial] = []  # P_0, ..., P_{j-2}
     for j in range(1, n + 1):
         if j == 1:
-            poly = RationalPolynomial.constant(1)  # B(1, m) = 1
+            poly = _ONE  # B(1, m) = 1
         else:
             power_sums.append(faulhaber_polynomial(j - 2))
             diff = difference_polynomial(j, levels)
-            terms = zip(diff.coefficients, power_sums)
+            den = diff.denominator  # d_r = diff.numerators[r] / den
             poly = RationalPolynomial.linear_combination(
-                [(1, RationalPolynomial.constant(1)), *terms]
+                [(den, _ONE), *zip(diff.numerators, power_sums)], den
             )
         reference = interpolate_bell_polynomial(j)
         if poly != reference.poly:

@@ -3,16 +3,15 @@
 A polynomial is stored as integer numerators over one positive common
 denominator, so shifting, evaluating, adding and multiplying all run in
 integer arithmetic. A Fraction is made only where a coefficient or a
-value leaves the class.
+value leaves the class. Callers that work in integers read
+`numerators` and `denominator` and build through `from_numerators`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
 
 
 class RationalPolynomial:
@@ -34,7 +33,7 @@ class RationalPolynomial:
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), denominator: int = 1):
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), denominator: int = 1):
         """The polynomial sum(coeffs[j] * x**j) / denominator.
 
         `denominator` must be a positive integer; coefficients may be
@@ -58,8 +57,14 @@ class RationalPolynomial:
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _new(cls, nums: list[int], den: int) -> RationalPolynomial:
-        """sum(nums[j] * x**j) / den from integers, with no conversion."""
+    def from_numerators(cls, nums: list[int], den: int) -> RationalPolynomial:
+        """sum(nums[j] * x**j) / den from integers, with no conversion.
+
+        The integer entry point: `nums` must be a list of ints, which the
+        new polynomial takes over, and `den` a positive int.
+        """
+        if den <= 0:
+            raise ValueError("denominator must be a positive integer")
         poly = object.__new__(cls)
         poly._store(nums, den)
         return poly
@@ -77,8 +82,18 @@ class RationalPolynomial:
         return cls()
 
     @classmethod
-    def constant(cls, value: Scalar) -> RationalPolynomial:
+    def constant(cls, value: int | Fraction) -> RationalPolynomial:
         return cls((value,))
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The integer numerators a_j, over `denominator`, lowest power first."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator d of every coefficient."""
+        return self._den
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -104,7 +119,7 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at x = p/q, by Horner's rule in integers.
 
         Accumulates sum(a_j * p**j * q**(k-j)) for degree k and divides
@@ -119,7 +134,7 @@ class RationalPolynomial:
             scale *= q
         return Fraction(acc, self._den * (scale // q))
 
-    def shift(self, delta: Scalar) -> RationalPolynomial:
+    def shift(self, delta: int | Fraction) -> RationalPolynomial:
         """The polynomial r with r(x) = self(x + delta), by an integer Taylor shift.
 
         For delta = p/q and degree k, self(x) = b(q*x) / (d * q**k) with
@@ -143,16 +158,16 @@ class RationalPolynomial:
         for j in range(k + 1):
             b[j] *= scale
             scale *= q
-        return self._new(b, self._den * (scale // q))
+        return self.from_numerators(b, self._den * (scale // q))
 
     @classmethod
     def linear_combination(
-        cls, terms: Iterable[tuple[Scalar, RationalPolynomial]]
+        cls, terms: Iterable[tuple[int | Fraction, RationalPolynomial]], denominator: int = 1
     ) -> RationalPolynomial:
-        """sum(c * p for c, p in terms), summed into one coefficient list.
+        """sum(c * p for c, p in terms) / denominator, summed into one coefficient list.
 
         Every product goes over one common denominator, so the sum runs
-        in integers.
+        in integers; `denominator` must be a positive int.
         """
         scaled = [(c.numerator, c.denominator * p._den, p._nums) for c, p in terms]
         den = math.lcm(*[d for _, d, _ in scaled])
@@ -161,10 +176,11 @@ class RationalPolynomial:
             factor = c * (den // d)
             for i, a in enumerate(nums):
                 acc[i] += factor * a
-        return cls._new(acc, den)
+        return cls.from_numerators(acc, den * denominator)
 
-    def _scaled(self, c: Scalar) -> RationalPolynomial:
-        return self._new([a * c.numerator for a in self._nums], self._den * c.denominator)
+    def _scaled(self, c: int | Fraction) -> RationalPolynomial:
+        nums = [a * c.numerator for a in self._nums]
+        return self.from_numerators(nums, self._den * c.denominator)
 
     def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
@@ -190,7 +206,7 @@ class RationalPolynomial:
                     continue
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-            return self._new(out, self._den * other._den)
+            return self.from_numerators(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented

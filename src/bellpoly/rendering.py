@@ -10,8 +10,8 @@ them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .bell_numbers import bell_via_egf, bell_via_recursion
 from .polynomial import (

@@ -13,9 +13,9 @@ from __future__ import annotations
 import io
 import math
 import sys
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from typing import Callable, TextIO
 
 from .bell_numbers import TruncatedEGF, bell_via_egf, bell_via_recursion, egf_iterate
 from .combinatorics import bernoulli, faulhaber_polynomial, power_sum_oracle, stirling2
@@ -288,7 +288,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 )
 
 
-def run_selfcheck(stream: TextIO | None = None) -> int:
+def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
     """Run every check, print one line per check, return 0 or 1."""
     out = stream if stream is not None else sys.stdout
     failures: list[str] = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bellpoly
 from bellpoly import (
     BellTable,
     TruncatedEGF,
@@ -81,3 +82,26 @@ class TestValues:
                 assert scattered.value(n, m) == whole.value(n, m)
         for m, row in KNOWN_GRID.items():
             assert [scattered.value(n, m) for n in range(1, 9)] == row
+
+    def test_cell_by_cell_fill_reads_stirling_rows_only_for_missing_cells(self, monkeypatch):
+        # Each fill starts from the highest stored m-row and reads a level's
+        # Stirling row only when that level has a missing cell: 50 * (1 + ... + 20)
+        # = 10,500 reads here, where rebuilding every level's row on each
+        # miss made 77,000.
+        real = bellpoly.bell_numbers.stirling2
+        calls = 0
+
+        def counted(n, k):
+            nonlocal calls
+            calls += 1
+            return real(n, k)
+
+        bellpoly.clear_caches()
+        monkeypatch.setattr(bellpoly.bell_numbers, "stirling2", counted)
+        cells = {(n, m): bell_via_recursion(n, m) for m in range(1, 51) for n in range(1, 21)}
+        assert calls <= 20 * 50 * 20
+        whole = BellTable()
+        whole.value(20, 50)
+        assert cells == {key: whole.value(*key) for key in cells}
+        for m, row in KNOWN_GRID.items():
+            assert [cells[(n, m)] for n in range(1, 9)] == row

@@ -313,7 +313,7 @@ class TestWorkLimits:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=env, check=True)
         loaded = set(proc.stdout.split())
-        assert not loaded & {"dataclasses", "inspect", "json"}
+        assert not loaded & {"dataclasses", "inspect", "json", "typing"}
         layers = ("bell_numbers", "polynomial", "rational_poly", "combinatorics",
                   "rendering", "oracles", "selfcheck", "cli")
         assert {f"bellpoly.{layer}" for layer in layers} <= loaded

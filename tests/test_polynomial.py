@@ -25,6 +25,7 @@ from bellpoly import (
     leading_coefficient,
     verify_theorem,
 )
+from bellpoly.combinatorics import stirling2
 from bellpoly.rational_poly import RationalPolynomial
 
 B3 = RationalPolynomial([1, Fraction(5, 2), Fraction(3, 2)])
@@ -78,6 +79,53 @@ def padded_sum(a, b, sign=1):
     return stripped(x + sign * y for x, y in zip(a, b))
 
 
+def falling_factorial_interpolation(n):
+    """B_n as plain Fractions: sum(a_k * m(m-1)...(m-k+1) / k!) over the
+    forward differences a_k of the samples at m = 0, with each falling
+    factorial rebuilt and accumulated."""
+    if n == 0:
+        return (Fraction(1),)
+    row = [bell_via_recursion(n, mm) for mm in range(n)]
+    out = ()
+    falling = (Fraction(1),)
+    for k in range(n):
+        out = padded_sum(out, [Fraction(row[0], factorial(k)) * c for c in falling])
+        row = [b - a for a, b in zip(row, row[1:])]
+        falling = reference_product(falling, [-k, 1])
+    return out
+
+
+def fraction_power_sums(count):
+    """P_0, ..., P_{count-1} as plain Fractions, from Faulhaber's recurrence
+    (m+1)**(r+1) - 1 = sum(C(r+1, k) * P_k(m) for k in 0..r), no Bernoulli."""
+    sums = []
+    for r in range(count):
+        acc = [Fraction(comb(r + 1, i)) for i in range(r + 2)]
+        acc[0] -= 1
+        for k, p in enumerate(sums):
+            acc = list(padded_sum(acc, [comb(r + 1, k) * c for c in p], -1))
+        sums.append([c / (r + 1) for c in acc])
+    return sums
+
+
+def fraction_telescoping(n_max):
+    """B_0, ..., B_{n_max} as plain Fractions, bottom-up: each level's first
+    difference sum(S(j, k) * B_k(m-1)) telescoped coefficient by coefficient
+    into power sums, B_j = 1 + sum(d_r * P_r)."""
+    levels, shifted = [(Fraction(1),)], [None]
+    power_sums = fraction_power_sums(n_max)
+    for j in range(1, n_max + 1):
+        diff = ()
+        for k in range(1, j):
+            diff = padded_sum(diff, [stirling2(j, k) * c for c in shifted[k]])
+        poly = (Fraction(1),)
+        for d, p in zip(diff, power_sums):
+            poly = padded_sum(poly, [d * c for c in p])
+        levels.append(poly)
+        shifted.append(reference_shift(poly, -1))
+    return levels
+
+
 class TestEvalAndShift:
     def test_eval_known(self):
         assert RationalPolynomial.zero().evaluate(7) == 0
@@ -122,9 +170,11 @@ class TestIntegerCore:
 
     @given(cs=coeffs_st)
     def test_coefficients_are_fractions_in_order(self, cs):
-        coefficients = RationalPolynomial(cs).coefficients
+        p = RationalPolynomial(cs)
+        coefficients = p.coefficients
         assert coefficients == stripped(cs)
         assert all(type(c) is Fraction for c in coefficients)
+        assert coefficients == tuple(Fraction(a, p.denominator) for a in p.numerators)
 
     @given(cs=coeffs_st, x=fractions_st)
     @settings(max_examples=80)
@@ -171,7 +221,11 @@ class TestIntegerCore:
     @given(cs=coeffs_st, k=st.integers(min_value=1, max_value=10 ** 6), other=polys_st)
     def test_equal_polynomials_have_equal_hashes(self, cs, k, other):
         p = RationalPolynomial(cs)
-        for same in (RationalPolynomial([c * k for c in cs], k), (p + other) - other):
+        for same in (
+            RationalPolynomial([c * k for c in cs], k),
+            RationalPolynomial.from_numerators([a * k for a in p.numerators], p.denominator * k),
+            (p + other) - other,
+        ):
             assert same == p
             assert hash(same) == hash(p)
             assert repr(same) == repr(p)
@@ -180,6 +234,8 @@ class TestIntegerCore:
     def test_non_positive_denominator_is_refused(self, cs, den):
         with pytest.raises(ValueError):
             RationalPolynomial(cs, den)
+        with pytest.raises(ValueError):
+            RationalPolynomial.from_numerators([1, 2], den)
 
     def test_non_integer_denominator_is_refused(self):
         with pytest.raises(ValueError):
@@ -275,6 +331,24 @@ class TestInterpolation:
         with pytest.raises(ConsistencyError):
             interpolate_bell_polynomial(4)
 
+    def test_corrupted_inner_sample_is_caught_by_the_held_out_check(self, monkeypatch):
+        real = bell_via_recursion
+
+        def corrupted(n, m):
+            value = real(n, m)
+            return value + 1 if (n, m) == (7, 3) else value
+
+        monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
+        with pytest.raises(ConsistencyError, match=r"interpolation for n=7 gives \S+ at m=7"):
+            interpolate_bell_polynomial(7)
+        with pytest.raises(ConsistencyError, match=r"\bn=7\b"):
+            construct_bell_polynomial(9)
+
+    def test_matches_falling_factorial_reference(self):
+        for n in range(41):
+            expected = falling_factorial_interpolation(n)
+            assert interpolate_bell_polynomial(n).poly.coefficients == expected
+
 
 class TestDifferencePolynomial:
     def test_n2_is_constant_one(self):
@@ -328,6 +402,11 @@ class TestConstruction:
         monkeypatch.setattr(RationalPolynomial, "shift", counted)
         construct_bell_polynomial(n)
         assert calls == [-1] * (n - 1)
+
+    def test_matches_fraction_telescoping_reference(self):
+        reference = fraction_telescoping(40)
+        for n in range(41):
+            assert construct_bell_polynomial(n).poly.coefficients == reference[n]
 
     def test_every_level_is_checked_against_interpolation(self, monkeypatch):
         real = bellpoly.polynomial.stirling2
