@@ -25,6 +25,7 @@ from .combinatorics import (
     faulhaber_polynomial,
     power_sum_oracle,
     stirling2,
+    stirling_row,
 )
 from .polynomial import (
     AsymptoticReport,
@@ -64,11 +65,17 @@ __all__ = [
     "leading_coefficient",
     "power_sum_oracle",
     "stirling2",
+    "stirling_row",
     "verify_theorem",
 ]
 
 
 def clear_caches() -> None:
-    """Drop all memoized tables (mainly for tests that patch internals)."""
+    """Drop all memoized tables (mainly for tests that patch internals).
+
+    The tables are the Stirling rows behind `stirling2` and
+    `stirling_row`, the Bernoulli numbers, the Faulhaber polynomials
+    behind `faulhaber_polynomial`, and the recursion's grid of B(n, m).
+    """
     _combinatorics._reset_tables()
     _bell_numbers._reset_tables()

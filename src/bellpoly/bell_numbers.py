@@ -18,7 +18,7 @@ import operator
 import threading
 from fractions import Fraction
 
-from .combinatorics import stirling2
+from .combinatorics import stirling_row
 from .records import Record
 
 
@@ -123,25 +123,31 @@ class BellTable:
         Every fill stores a whole rectangle [1..n] x [1..m], so the stored
         cells form a staircase: if (n, mm) is stored, so is every
         (nn, mm') with nn <= n and mm' <= mm. The fill starts from the
-        highest such m-row, carried as a list (the all-ones row m = 0 if
-        there is none), and reads a level's Stirling row S(nn, 1..nn)
-        only when that level has a missing cell, once per fill.
+        highest such m-row, carried as the list B(0..n, mm) (the all-ones
+        row m = 0 if there is none). Levels stored at m are stored in
+        every row of the fill; each level above them has a missing cell
+        and reads its Stirling row S(nn, 0..nn) once per fill.
+        S(nn, 0) = 0 weights B(0, mm) = 1, so a row lines up with the
+        list as is.
         """
         entries = self._entries
         start = m - 1
         while start > 0 and (n, start) not in entries:
             start -= 1
-        previous = [entries[(nn, start)] for nn in range(1, n + 1)] if start else [1] * n
-        stirling: dict[int, list[int]] = {}
+        if start:
+            previous = [1, *[entries[(nn, start)] for nn in range(1, n + 1)]]
+        else:
+            previous = [1] * (n + 1)
+        low = 1
+        while low <= n and (low, m) in entries:
+            low += 1
+        weights = [()] * low + [stirling_row(nn) for nn in range(low, n + 1)]
         for mm in range(start + 1, m + 1):
-            row = []
+            row = [1]
             for nn in range(1, n + 1):
                 total = entries.get((nn, mm))
                 if total is None:
-                    weights = stirling.get(nn)
-                    if weights is None:
-                        weights = stirling[nn] = [stirling2(nn, k) for k in range(1, nn + 1)]
-                    total = sum(map(operator.mul, weights, previous))
+                    total = sum(map(operator.mul, weights[nn], previous))
                     entries[(nn, mm)] = total
                 row.append(total)
             previous = row

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bell_numbers import ConsistencyError, bell_via_recursion
-from .combinatorics import faulhaber_polynomial, stirling2
+from .combinatorics import faulhaber_polynomial, stirling_row
 from .rational_poly import RationalPolynomial
 from .records import Record
 
@@ -116,8 +116,9 @@ def difference_polynomial(
         raise ValueError("difference polynomials are defined for n >= 2")
     if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
         raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
+    weights = stirling_row(n)
     total = RationalPolynomial.linear_combination(
-        [(stirling2(n, k), lower[k - 1].shifted) for k in range(1, n)]
+        [(weights[k], lower[k - 1].shifted) for k in range(1, n)]
     )
     if total.degree != n - 2 or total.numerators[-1] <= 0:
         raise ConsistencyError(
@@ -185,15 +186,17 @@ def leading_coefficient(n: int) -> Fraction:
     """Top coefficient of the Bell polynomial, built by its own recurrence.
 
     Iterates c(j) = (j/2) * c(j-1) from c(1) = 1 (B(1, m) is constantly
-    one). That the result equals the closed form n!/2**(n-1) is asserted
-    by tests rather than assumed here.
+    one), on the integer numerator and denominator separately, and
+    reduces once at the end. That the result equals the closed form
+    n!/2**(n-1) is asserted by tests rather than assumed here.
     """
     if n < 1:
         raise ValueError("leading coefficients start at n = 1")
-    c = Fraction(1)
+    num = den = 1
     for j in range(2, n + 1):
-        c *= Fraction(j, 2)
-    return c
+        num *= j
+        den *= 2
+    return Fraction(num, den)
 
 
 def verify_theorem(n: int) -> Fraction:

@@ -85,21 +85,23 @@ class TestValues:
 
     def test_cell_by_cell_fill_reads_stirling_rows_only_for_missing_cells(self, monkeypatch):
         # Each fill starts from the highest stored m-row and reads a level's
-        # Stirling row only when that level has a missing cell: 50 * (1 + ... + 20)
-        # = 10,500 reads here, where rebuilding every level's row on each
-        # miss made 77,000.
-        real = bellpoly.bell_numbers.stirling2
-        calls = 0
+        # Stirling row only for a missing cell: 50 * 20 = 1,000 row reads
+        # holding 50 * (1 + ... + 20) = 10,500 weights S(n, 1..n) here, where
+        # rebuilding every level's row on each miss read 77,000 weights.
+        real = bellpoly.bell_numbers.stirling_row
+        rows = weights = 0
 
-        def counted(n, k):
-            nonlocal calls
-            calls += 1
-            return real(n, k)
+        def counted(n):
+            nonlocal rows, weights
+            rows += 1
+            weights += n
+            return real(n)
 
         bellpoly.clear_caches()
-        monkeypatch.setattr(bellpoly.bell_numbers, "stirling2", counted)
+        monkeypatch.setattr(bellpoly.bell_numbers, "stirling_row", counted)
         cells = {(n, m): bell_via_recursion(n, m) for m in range(1, 51) for n in range(1, 21)}
-        assert calls <= 20 * 50 * 20
+        assert rows <= 20 * 50
+        assert weights <= 20 * 50 * 20
         whole = BellTable()
         whole.value(20, 50)
         assert cells == {key: whole.value(*key) for key in cells}

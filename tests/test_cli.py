@@ -336,14 +336,14 @@ class TestByteStability:
 
 class TestSelfcheckFaultInjection:
     def test_corrupted_recursion_route_is_named_first(self, monkeypatch):
-        real = bellpoly.bell_numbers.stirling2
+        real = bellpoly.bell_numbers.stirling_row
 
-        def corrupted(n, k):
-            value = real(n, k)
-            return value + 1 if (n, k) == (5, 3) else value
+        def corrupted(n):
+            row = real(n)  # S(5, 3) off by one
+            return (*row[:3], row[3] + 1, *row[4:]) if n == 5 else row
 
         bellpoly.clear_caches()
-        monkeypatch.setattr(bellpoly.bell_numbers, "stirling2", corrupted)
+        monkeypatch.setattr(bellpoly.bell_numbers, "stirling_row", corrupted)
         try:
             out = io.StringIO()
             rc = run_selfcheck(stream=out)

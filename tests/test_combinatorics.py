@@ -1,5 +1,6 @@
 """Combinatorial primitives against independent oracles and known values."""
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bellpoly import (
     bernoulli,
+    combinatorics,
     clear_caches,
     faulhaber_polynomial,
     power_sum_oracle,
@@ -89,22 +91,43 @@ class TestPowerSums:
 def test_tables_survive_concurrent_fills():
     clear_caches()
     errors = []
+    results = []
+    together = threading.Barrier(8, timeout=60)  # each table is filled by all threads at once
 
     def worker():
         try:
+            together.wait()
             for n in range(1, 30):
                 stirling2(n, max(1, n // 2))
+            together.wait()
             for k in range(0, 20):
                 bernoulli(k)
+            together.wait()
+            results.append([faulhaber_polynomial(r) for r in range(30)])
         except Exception as exc:  # pragma: no cover - only on failure
             errors.append(exc)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so unguarded fills would collide
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     # cross-checked against the inclusion-exclusion formula for S(n, k)
     assert stirling2(29, 14) == 2534474684137526739000
+    # every thread got the one stored polynomial per r, equal to a fresh
+    # single-thread build
+    assert len(results) == 8
+    assert all(all(p is q for p, q in zip(got, results[0])) for got in results)
+    clear_caches()
+    assert not combinatorics._FAULHABER._entries
+    fresh = [faulhaber_polynomial(r) for r in range(30)]
+    assert results[0] == fresh
+    assert all(p is not q for p, q in zip(results[0], fresh))
     clear_caches()

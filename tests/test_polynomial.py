@@ -409,13 +409,13 @@ class TestConstruction:
             assert construct_bell_polynomial(n).poly.coefficients == reference[n]
 
     def test_every_level_is_checked_against_interpolation(self, monkeypatch):
-        real = bellpoly.polynomial.stirling2
+        real = bellpoly.polynomial.stirling_row
 
-        def corrupted(n, k):
-            value = real(n, k)
-            return value + 1 if (n, k) == (6, 3) else value
+        def corrupted(n):
+            row = real(n)  # S(6, 3) off by one
+            return (*row[:3], row[3] + 1, *row[4:]) if n == 6 else row
 
-        monkeypatch.setattr(bellpoly.polynomial, "stirling2", corrupted)
+        monkeypatch.setattr(bellpoly.polynomial, "stirling_row", corrupted)
         with pytest.raises(ConsistencyError, match=r"\bn=6\b"):
             construct_bell_polynomial(8)
 
@@ -426,6 +426,11 @@ class TestLeadingCoefficient:
         assert leading_coefficient(3) == Fraction(3, 2)
         assert leading_coefficient(5) == Fraction(15, 2)
         assert leading_coefficient(8) == 315
+
+    def test_closed_form_up_to_the_cli_limit(self):
+        # The CLI accepts n up to 64; selfcheck covers n = 1..12 only.
+        for n in range(1, 65):
+            assert leading_coefficient(n) == Fraction(factorial(n), 2 ** (n - 1))
 
     def test_verify_theorem_returns_the_value(self):
         assert verify_theorem(1) == 1
