@@ -74,8 +74,9 @@ def clear_caches() -> None:
     """Drop all memoized tables (mainly for tests that patch internals).
 
     The tables are the Stirling rows behind `stirling2` and
-    `stirling_row`, the Bernoulli numbers, the Faulhaber polynomials
-    behind `faulhaber_polynomial`, and the recursion's grid of B(n, m).
+    `stirling_row`, the binomial rows that weight each `egf_iterate`
+    step, the Bernoulli numbers, the Faulhaber polynomials behind
+    `faulhaber_polynomial`, and the recursion's grid of B(n, m).
     """
     _combinatorics._reset_tables()
     _bell_numbers._reset_tables()

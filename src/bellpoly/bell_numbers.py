@@ -2,13 +2,17 @@
 
 B(n, m) is n! times the x**n coefficient of the m-th iterate of the
 exponential map on formal power series, starting from exp(x) and
-applying E -> exp(E - 1). The same numbers satisfy the Stirling
-recursion
+applying E -> exp(E - 1). egf_iterate runs each step as an integer
+convolution of the scaled coefficients j! * a_j with binomial weights;
+the plain rational step in `oracles` checks it. The same numbers satisfy
+the Stirling recursion
 
     B(n, m) = sum(B(k, m-1) * S(n, k) for k in 1..n),    B(n, 0) = 1,
 
-which serves as the reference implementation. Both routes are exact;
-tests and the selfcheck suite require them to agree entry for entry.
+which serves as the reference implementation. The two routes share no
+table: the EGF reads binomial rows, the recursion Stirling rows. Both
+are exact; tests and the selfcheck suite require them to agree entry
+for entry.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import operator
 import threading
 from fractions import Fraction
 
-from .combinatorics import stirling_row
+from .combinatorics import binomial_row, stirling_row
 from .records import Record
 
 
@@ -66,19 +70,37 @@ class TruncatedEGF(Record):
 def egf_iterate(series: TruncatedEGF) -> TruncatedEGF:
     """One step E -> exp(E - 1) of the exponential map, truncated.
 
-    With f = E - 1 (zero constant term), g = exp(f) satisfies g' = f'g,
-    giving g_0 = 1 and g_j = (1/j) * sum(i * f_i * g_{j-i}, i = 1..j).
+    With f = E - 1 (zero constant term), g = exp(f) satisfies g' = f'g.
+    In the scaled coefficients F_i = i! * f_i and G_j = j! * g_j this is
+    the integer recurrence G_0 = 1 and
+
+        G_j = sum(C(j-1, i-1) * F_i * G_{j-i}, i = 1..j),
+
+    so the inner sums run in integers, with each binomial row built
+    once. Every F_i must be an integer: a coefficient with non-integral
+    i! * a_i raises ConsistencyError. The step returns a_j = G_j / j!.
     Truncation commutes with the composition, so a degree-N input yields
     the exact degree-N prefix of the next iterate.
     """
-    if series.coeffs[0] != 1:
+    coeffs = series.coeffs
+    if coeffs[0] != 1:
         raise ValueError("not an exponential-map iterate: constant term != 1")
-    f = series.coeffs  # f_i = a_i for i >= 1; subtracting 1 only clears a_0
-    g = [Fraction(1)]
-    for j in range(1, series.order + 1):
-        acc = sum(i * f[i] * g[j - i] for i in range(1, j + 1))
-        g.append(Fraction(acc, j))
-    return TruncatedEGF(tuple(g))
+    f = [0]  # F_0 is never read: subtracting 1 clears it
+    g = [1]
+    out = [coeffs[0]]  # a_0 = 1
+    factorial = 1
+    for j in range(1, len(coeffs)):
+        factorial *= j
+        a = coeffs[j]
+        scale, rest = divmod(factorial, a.denominator)
+        if rest:
+            raise ConsistencyError(f"{j}! * a_{j} = {factorial * a} is not an integer")
+        f.append(scale * a.numerator)
+        # C(j-1, i-1) * F_i * G_{j-i} for i = 1..j; reversed(g) is G_{j-1}, ..., G_0
+        total = sum(map(operator.mul, binomial_row(j - 1), map(operator.mul, f[1:], reversed(g))))
+        g.append(total)
+        out.append(Fraction(total, factorial))
+    return TruncatedEGF(tuple(out))
 
 
 def bell_via_egf(n: int, m: int) -> int:

@@ -2,18 +2,21 @@
 
 Stirling numbers of the second kind, Bernoulli numbers, and the
 closed-form polynomials for the power sums 1**r + 2**r + ... + m**r.
-Binomials and factorials are math.comb and math.factorial. Everything
-is integer or Fraction arithmetic; nothing here is approximate.
+Single binomials and factorials are math.comb and math.factorial; a
+whole row C(n, 0..n) comes from binomial_row. Everything is integer or
+Fraction arithmetic; nothing here is approximate.
 
 Each quantity depends on one index only and is built once into an
 append-only table: Stirling rows (read one number at a time through
-stirling2, or a whole row S(n, 0..n) through stirling_row), Bernoulli
-numbers and Faulhaber polynomials. clear_caches() empties them all.
+stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
+rows, Bernoulli numbers and Faulhaber polynomials. clear_caches()
+empties them all.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -70,6 +73,21 @@ class StirlingTable(_AppendOnlyTable):
         return self._get(n)[k] if k <= n else 0
 
 
+class BinomialTable(_AppendOnlyTable):
+    """Pascal's triangle: row n is the tuple C(n, 0..n), built from row n-1."""
+
+    def _next(self, i: int) -> tuple[int, ...]:
+        if i == 0:
+            return (1,)
+        prev = self._entries[i - 1]
+        return (1, *map(operator.add, prev, prev[1:]), 1)
+
+    def row(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise ValueError("binomial rows need a non-negative index")
+        return self._get(n)
+
+
 class BernoulliSequence(_AppendOnlyTable):
     """Bernoulli numbers b_0, b_1, ... under the b_1 = -1/2 convention.
 
@@ -111,6 +129,7 @@ class FaulhaberTable(_AppendOnlyTable):
 
 
 _STIRLING = StirlingTable()
+_BINOMIAL = BinomialTable()
 _BERNOULLI = BernoulliSequence()
 _FAULHABER = FaulhaberTable()
 
@@ -123,6 +142,11 @@ def stirling2(n: int, k: int) -> int:
 def stirling_row(n: int) -> tuple[int, ...]:
     """The whole row S(n, 0), ..., S(n, n) as a tuple, built once."""
     return _STIRLING.row(n)
+
+
+def binomial_row(n: int) -> tuple[int, ...]:
+    """The whole row C(n, 0), ..., C(n, n) as a tuple, built once."""
+    return _BINOMIAL.row(n)
 
 
 def bernoulli(k: int) -> Fraction:
@@ -161,7 +185,8 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
 
 def _reset_tables() -> None:
     """Drop memoized state. Test hook."""
-    global _STIRLING, _BERNOULLI, _FAULHABER
+    global _STIRLING, _BINOMIAL, _BERNOULLI, _FAULHABER
     _STIRLING = StirlingTable()
+    _BINOMIAL = BinomialTable()
     _BERNOULLI = BernoulliSequence()
     _FAULHABER = FaulhaberTable()

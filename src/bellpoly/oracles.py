@@ -1,6 +1,14 @@
-"""Brute-force enumeration oracles, independent of the fast paths."""
+"""Naive oracles, independent of the fast paths.
+
+Brute-force enumeration for the Stirling numbers, and the plain rational
+form of one exponential-map step for the integer EGF kernel.
+"""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .bell_numbers import TruncatedEGF
 
 _PARTITION_COUNTS: dict[int, tuple[int, ...]] = {}
 
@@ -39,3 +47,22 @@ def partition_block_counts(n: int) -> tuple[int, ...]:
     result = tuple(counts)
     _PARTITION_COUNTS[n] = result
     return result
+
+
+def egf_step_rational(series: TruncatedEGF) -> TruncatedEGF:
+    """One step E -> exp(E - 1) in plain Fraction arithmetic.
+
+    With f = E - 1, g = exp(f) satisfies g' = f'g, giving g_0 = 1 and
+    g_j = (1/j) * sum(i * f_i * g_{j-i}, i = 1..j). Nothing is scaled
+    and nothing checks integrality, so the step reproduces whatever
+    denominators the iterates really have; it checks egf_iterate, which
+    runs the same relation on the integers i! * a_i.
+    """
+    if series.coeffs[0] != 1:
+        raise ValueError("not an exponential-map iterate: constant term != 1")
+    f = series.coeffs  # f_i = a_i for i >= 1; subtracting 1 only clears a_0
+    g = [Fraction(1)]
+    for j in range(1, series.order + 1):
+        acc = sum(i * f[i] * g[j - i] for i in range(1, j + 1))
+        g.append(Fraction(acc, j))
+    return TruncatedEGF(tuple(g))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .bell_numbers import TruncatedEGF, bell_via_egf, bell_via_recursion, egf_iterate
 from .combinatorics import bernoulli, faulhaber_polynomial, power_sum_oracle, stirling2
-from .oracles import partition_block_counts
+from .oracles import egf_step_rational, partition_block_counts
 from .polynomial import (
     construct_bell_polynomial,
     difference_polynomial,
@@ -109,15 +109,22 @@ def _check_bell_base_cases() -> None:
 
 
 def _check_egf_integrality() -> None:
+    # egf_iterate is integral by construction, so the integrality is
+    # checked on the naive rational step, which also checks the kernel.
     series = TruncatedEGF.exponential(12)
     for step in range(6):
-        series = egf_iterate(series)
+        oracle = egf_step_rational(series)
         for n in range(0, 13):
-            value = math.factorial(n) * series.coeffs[n]
+            value = math.factorial(n) * oracle.coeffs[n]
             _require(
                 value.denominator == 1,
                 f"n! * a_n non-integer at iteration {step + 1}, n = {n}",
             )
+        _require(
+            egf_iterate(series) == oracle,
+            f"egf_iterate disagrees with the rational step at iteration {step + 1}",
+        )
+        series = oracle
 
 
 def _check_monotone_in_m() -> None:

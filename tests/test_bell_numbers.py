@@ -7,11 +7,13 @@ import pytest
 import bellpoly
 from bellpoly import (
     BellTable,
+    ConsistencyError,
     TruncatedEGF,
     bell_via_egf,
     bell_via_recursion,
     egf_iterate,
 )
+from bellpoly.oracles import egf_step_rational
 
 # Reference grid for m = 1..5, n = 1..8.
 KNOWN_GRID = {
@@ -31,6 +33,20 @@ class TestEGFIteration:
         assert [once.integer_coefficient(n) for n in range(1, 5)] == [1, 2, 5, 15]
         twice = egf_iterate(once)
         assert [twice.integer_coefficient(n) for n in range(1, 5)] == [1, 3, 12, 60]
+
+    def test_integer_kernel_matches_rational_step(self):
+        for order in range(0, 25):
+            series = TruncatedEGF.exponential(order)
+            for _ in range(8):
+                step = egf_iterate(series)
+                assert step == egf_step_rational(series)
+                series = step
+
+    def test_rejects_non_integral_scaled_coefficient(self):
+        coeffs = list(TruncatedEGF.exponential(6).coeffs)
+        coeffs[3] += Fraction(1, 7)
+        with pytest.raises(ConsistencyError, match=r"^3! \* a_3 = .* is not an integer$"):
+            egf_iterate(TruncatedEGF(coeffs))
 
     def test_constant_one_is_a_fixpoint(self):
         series = TruncatedEGF((Fraction(1),))

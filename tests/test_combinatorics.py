@@ -1,5 +1,6 @@
 """Combinatorial primitives against independent oracles and known values."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -92,6 +93,7 @@ def test_tables_survive_concurrent_fills():
     clear_caches()
     errors = []
     results = []
+    binomials = []
     together = threading.Barrier(8, timeout=60)  # each table is filled by all threads at once
 
     def worker():
@@ -102,6 +104,8 @@ def test_tables_survive_concurrent_fills():
             together.wait()
             for k in range(0, 20):
                 bernoulli(k)
+            together.wait()
+            binomials.append([combinatorics.binomial_row(n) for n in range(40)])
             together.wait()
             results.append([faulhaber_polynomial(r) for r in range(30)])
         except Exception as exc:  # pragma: no cover - only on failure
@@ -125,8 +129,13 @@ def test_tables_survive_concurrent_fills():
     # single-thread build
     assert len(results) == 8
     assert all(all(p is q for p, q in zip(got, results[0])) for got in results)
+    # one stored binomial row per n, equal to math.comb
+    assert len(binomials) == 8
+    assert all(all(r is s for r, s in zip(got, binomials[0])) for got in binomials)
+    assert binomials[0] == [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(40)]
     clear_caches()
     assert not combinatorics._FAULHABER._entries
+    assert not combinatorics._BINOMIAL._entries
     fresh = [faulhaber_polynomial(r) for r in range(30)]
     assert results[0] == fresh
     assert all(p is not q for p, q in zip(results[0], fresh))
