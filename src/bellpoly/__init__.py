@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from . import bell_numbers as _bell_numbers
 from . import combinatorics as _combinatorics
+from . import polynomial as _polynomial
 from .bell_numbers import (
     BellTable,
     ConsistencyError,
@@ -56,6 +57,7 @@ __all__ = [
     "bell_via_polynomial",
     "bell_via_recursion",
     "bernoulli",
+    "cache_info",
     "clear_caches",
     "construct_bell_polynomial",
     "difference_polynomial",
@@ -76,7 +78,24 @@ def clear_caches() -> None:
     The tables are the Stirling rows behind `stirling2` and
     `stirling_row`, the binomial rows that weight each `egf_iterate`
     step, the Bernoulli numbers, the Faulhaber polynomials behind
-    `faulhaber_polynomial`, and the recursion's grid of B(n, m).
+    `faulhaber_polynomial`, the recursion's grid of B(n, m), and the
+    checked fits that `interpolate_bell_polynomial` stores per n.
     """
     _combinatorics._reset_tables()
     _bell_numbers._reset_tables()
+    _polynomial._reset_tables()
+
+
+def cache_info() -> dict[str, int]:
+    """The number of entries in each memoized table, keyed by table.
+
+    The keys are `stirling_rows`, `binomial_rows`, `bernoulli_numbers`,
+    `faulhaber_polynomials`, `recursion_cells` (stored B(n, m) with
+    n, m >= 1) and `interpolated_polynomials`; `clear_caches` sets
+    every count to 0.
+    """
+    return {
+        **_combinatorics._table_sizes(),
+        **_bell_numbers._table_sizes(),
+        **_polynomial._table_sizes(),
+    }

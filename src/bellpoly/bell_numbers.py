@@ -187,3 +187,7 @@ def _reset_tables() -> None:
     """Drop memoized state. Test hook."""
     global _BELL
     _BELL = BellTable()
+
+
+def _table_sizes() -> dict[str, int]:
+    return {"recursion_cells": len(_BELL._entries)}

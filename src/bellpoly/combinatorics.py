@@ -10,7 +10,7 @@ Each quantity depends on one index only and is built once into an
 append-only table: Stirling rows (read one number at a time through
 stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
 rows, Bernoulli numbers and Faulhaber polynomials. clear_caches()
-empties them all.
+empties them all, and cache_info() counts their entries.
 """
 
 from __future__ import annotations
@@ -190,3 +190,12 @@ def _reset_tables() -> None:
     _BINOMIAL = BinomialTable()
     _BERNOULLI = BernoulliSequence()
     _FAULHABER = FaulhaberTable()
+
+
+def _table_sizes() -> dict[str, int]:
+    return {
+        "stirling_rows": len(_STIRLING._entries),
+        "binomial_rows": len(_BINOMIAL._entries),
+        "bernoulli_numbers": len(_BERNOULLI._entries),
+        "faulhaber_polynomials": len(_FAULHABER._entries),
+    }

@@ -5,7 +5,8 @@ of degree n-1 with rational coefficients, constant term 1 and leading
 coefficient n!/2**(n-1). Two independent constructions are provided:
 
 * interpolate_bell_polynomial fits exact samples by their integer
-  Newton forward differences and verifies a held-out sample;
+  Newton forward differences and verifies a held-out sample, and
+  stores each fit once that check passes;
 * construct_bell_polynomial assembles the polynomial from the
   first-difference identity
 
@@ -18,11 +19,19 @@ ConsistencyError rather than being silently ignored.
 
 bell_via_polynomial evaluates the constructed polynomial at m, a value
 route whose cost does not grow with m.
+
+Only the interpolation route is memoized, in one lock-guarded table
+with one fit per n, emptied by clear_caches(). The telescoping
+construction rebuilds every level on each call and never reads the
+table, so the two routes stay independent. As with the recursion grid,
+a fault injected into the samples after a fit is stored goes unseen
+until clear_caches().
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -55,8 +64,32 @@ class BellPolynomial(Record):
         return self.poly.shift(-1)
 
 
+# n -> its checked interpolation; filled under the lock, read without it.
+_FITS: dict[int, BellPolynomial] = {}
+_FITS_LOCK = threading.Lock()
+
+
 def interpolate_bell_polynomial(n: int) -> BellPolynomial:
-    """Fit the unique degree-(n-1) polynomial through B(n, 0), ..., B(n, n-1).
+    """The unique degree-(n-1) polynomial through B(n, 0), ..., B(n, n-1).
+
+    Each fit is stored once its held-out check passes, and later calls
+    return the stored BellPolynomial. A fault injected into the samples
+    after that stays unseen until clear_caches(), as with the
+    recursion grid; a fit that fails its check stores nothing.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    fit = _FITS.get(n)
+    if fit is None:
+        with _FITS_LOCK:
+            fit = _FITS.get(n)
+            if fit is None:
+                fit = _FITS[n] = _fit_bell_polynomial(n)
+    return fit
+
+
+def _fit_bell_polynomial(n: int) -> BellPolynomial:
+    """Fit B_n through its samples at m = 0..n-1 and check it at m = n.
 
     B_n is integer-valued, so by Polya it is an integer combination
     sum(a_k * C(m, k) for k in 0..n-1) of binomials, and the a_k are the
@@ -72,8 +105,6 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     polynomial form does not hold (or the arithmetic is broken) and
     raises ConsistencyError.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     if n == 0:
         return BellPolynomial(0, _ONE)
     c = [bell_via_recursion(n, mm) for mm in range(n)]
@@ -238,3 +269,13 @@ def asymptotic_report(n: int, m: int) -> AsymptoticReport:
     exact = bell_via_polynomial(n, m)
     leading = leading_coefficient(n) * m ** (n - 1)
     return AsymptoticReport(exact=exact, leading=leading, ratio=Fraction(exact) / leading)
+
+
+def _reset_tables() -> None:
+    """Drop memoized state. Test hook."""
+    with _FITS_LOCK:
+        _FITS.clear()
+
+
+def _table_sizes() -> dict[str, int]:
+    return {"interpolated_polynomials": len(_FITS)}

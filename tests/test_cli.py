@@ -227,11 +227,16 @@ class TestExitCodes:
             value = real(n, m)
             return value + 1 if (n, m) == (4, 4) else value
 
+        bellpoly.clear_caches()  # a stored fit would hide the fault
         monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
-        assert main(["poly", "--n", "4"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "bell: interpolation for n=4 gives 315 at m=4, recursion gives 316\n"
+        try:
+            assert main(["poly", "--n", "4"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "bell: interpolation for n=4 gives 315 at m=4, recursion gives 316\n"
+        finally:
+            monkeypatch.undo()
+            bellpoly.clear_caches()
 
     def test_non_integral_egf_coefficient_exits_1_with_one_line(self, monkeypatch, capsys):
         real = bellpoly.bell_numbers.egf_iterate

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (
+    bell_via_egf,
     bernoulli,
+    cache_info,
     combinatorics,
     clear_caches,
+    construct_bell_polynomial,
     faulhaber_polynomial,
     power_sum_oracle,
     stirling2,
@@ -140,3 +143,19 @@ def test_tables_survive_concurrent_fills():
     assert results[0] == fresh
     assert all(p is not q for p, q in zip(results[0], fresh))
     clear_caches()
+
+
+def test_cache_info_counts_every_table():
+    clear_caches()
+    assert set(cache_info().values()) == {0}
+    construct_bell_polynomial(6)
+    bell_via_egf(5, 3)
+    info = cache_info()
+    assert sorted(info) == [
+        "bernoulli_numbers", "binomial_rows", "faulhaber_polynomials",
+        "interpolated_polynomials", "recursion_cells", "stirling_rows",
+    ]
+    assert all(count > 0 for count in info.values()), info
+    assert info["interpolated_polynomials"] == 6
+    clear_caches()
+    assert set(cache_info().values()) == {0}

@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,6 +21,7 @@ from bellpoly import (
     bell_via_egf,
     bell_via_polynomial,
     bell_via_recursion,
+    clear_caches,
     construct_bell_polynomial,
     difference_polynomial,
     interpolate_bell_polynomial,
@@ -327,9 +330,14 @@ class TestInterpolation:
             value = real(n, m)
             return value + 1 if (n, m) == (4, 4) else value
 
+        clear_caches()  # a stored fit would hide the fault
         monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
-        with pytest.raises(ConsistencyError):
-            interpolate_bell_polynomial(4)
+        try:
+            with pytest.raises(ConsistencyError):
+                interpolate_bell_polynomial(4)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
     def test_corrupted_inner_sample_is_caught_by_the_held_out_check(self, monkeypatch):
         real = bell_via_recursion
@@ -338,16 +346,100 @@ class TestInterpolation:
             value = real(n, m)
             return value + 1 if (n, m) == (7, 3) else value
 
+        clear_caches()  # a stored fit would hide the fault
         monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
-        with pytest.raises(ConsistencyError, match=r"interpolation for n=7 gives \S+ at m=7"):
-            interpolate_bell_polynomial(7)
-        with pytest.raises(ConsistencyError, match=r"\bn=7\b"):
-            construct_bell_polynomial(9)
+        try:
+            with pytest.raises(ConsistencyError, match=r"interpolation for n=7 gives \S+ at m=7"):
+                interpolate_bell_polynomial(7)
+            with pytest.raises(ConsistencyError, match=r"\bn=7\b"):
+                construct_bell_polynomial(9)
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
     def test_matches_falling_factorial_reference(self):
         for n in range(41):
             expected = falling_factorial_interpolation(n)
             assert interpolate_bell_polynomial(n).poly.coefficients == expected
+
+
+class TestInterpolationTable:
+    def test_repeat_call_returns_the_stored_fit(self):
+        clear_caches()
+        first = interpolate_bell_polynomial(9)
+        assert interpolate_bell_polynomial(9) is first
+        assert bellpoly.cache_info()["interpolated_polynomials"] == 1
+
+    def test_failed_fit_stores_nothing(self, monkeypatch):
+        real = bell_via_recursion
+
+        def corrupted(n, m):
+            value = real(n, m)
+            return value + 1 if (n, m) == (6, 2) else value
+
+        clear_caches()
+        monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", corrupted)
+        try:
+            with pytest.raises(ConsistencyError, match=r"interpolation for n=6"):
+                interpolate_bell_polynomial(6)
+            assert bellpoly.cache_info()["interpolated_polynomials"] == 0
+            monkeypatch.undo()
+            assert interpolate_bell_polynomial(6).poly.coefficients == (
+                falling_factorial_interpolation(6)
+            )
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+
+    def test_warm_queries_read_no_samples(self, monkeypatch):
+        reads = []
+        real = bellpoly.polynomial.bell_via_recursion
+
+        def counted(n, m):
+            reads.append((n, m))
+            return real(n, m)
+
+        def queries():
+            construct_bell_polynomial(12)
+            verify_theorem(12)
+            asymptotic_report(12, 10 ** 6)
+
+        monkeypatch.setattr(bellpoly.polynomial, "bell_via_recursion", counted)
+        queries()  # warm-up: fits whatever is not stored yet
+        reads.clear()
+        queries()
+        assert reads == []
+
+    def test_concurrent_fills_store_one_fit_per_n(self):
+        clear_caches()
+        results = []
+        errors = []
+        together = threading.Barrier(8, timeout=60)
+
+        def worker():
+            try:
+                together.wait()
+                results.append([interpolate_bell_polynomial(n) for n in range(1, 31)])
+            except Exception as exc:  # pragma: no cover - only on failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so unguarded fills would collide
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(results) == 8
+        assert all(all(p is q for p, q in zip(got, results[0])) for got in results)
+        assert bellpoly.cache_info()["interpolated_polynomials"] == 30
+        assert results[0][17].poly.coefficients == falling_factorial_interpolation(18)
+        clear_caches()
 
 
 class TestDifferencePolynomial:
