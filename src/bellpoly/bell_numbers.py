@@ -3,9 +3,10 @@
 B(n, m) is n! times the x**n coefficient of the m-th iterate of the
 exponential map on formal power series, starting from exp(x) and
 applying E -> exp(E - 1). egf_iterate runs each step as an integer
-convolution of the scaled coefficients j! * a_j with binomial weights;
-the plain rational step in `oracles` checks it. The same numbers satisfy
-the Stirling recursion
+convolution of the scaled coefficients j! * a_j with binomial weights.
+A step reads its binomial rows from their table in one call and builds
+each output coefficient as one Fraction; the plain rational step in
+`oracles` checks it. The same numbers satisfy the Stirling recursion
 
     B(n, m) = sum(B(k, m-1) * S(n, k) for k in 1..n),    B(n, 0) = 1,
 
@@ -20,9 +21,10 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
 
-from .combinatorics import binomial_row, stirling_row
+from .combinatorics import binomial_rows, stirling_row
 from .records import Record
 
 
@@ -33,17 +35,19 @@ class ConsistencyError(ArithmeticError):
 class TruncatedEGF(Record):
     """Degree-N truncation of an exponential generating function.
 
-    coeffs[j] is the plain x**j coefficient a_j. For every iterate of
-    the exponential map, a_0 = 1 and j! * a_j is the integer B(j, m).
+    coeffs[j] is the plain x**j coefficient a_j, always a Fraction: an
+    entry given as anything else is converted. For every iterate of the
+    exponential map, a_0 = 1 and j! * a_j is the integer B(j, m).
     """
 
     _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
+    def __init__(self, coeffs: Iterable[int | Fraction]):
         # From a list, not a generator: a tuple built from a generator is
         # resized, and every EGF step would leave one in CPython's
-        # per-size tuple free lists until they hold thousands.
-        coeffs = tuple([Fraction(c) for c in coeffs])
+        # per-size tuple free lists until they hold thousands. Fractions
+        # are immutable, so an entry that is one is stored as it is.
+        coeffs = tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         object.__setattr__(self, "coeffs", coeffs)
@@ -53,14 +57,19 @@ class TruncatedEGF(Record):
         """The degree-`order` truncation of exp(x): a_j = 1/j!."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        return cls(tuple([Fraction(1, math.factorial(j)) for j in range(order + 1)]))
+        return cls([Fraction(1, math.factorial(j)) for j in range(order + 1)])
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def integer_coefficient(self, n: int) -> int:
-        """n! * a_n as an exact integer; raises if it is not integral."""
+        """n! * a_n as an exact integer; raises if it is not integral.
+
+        n must lie in 0..order, else ValueError.
+        """
+        if not 0 <= n <= self.order:
+            raise ValueError(f"coefficient {n} is outside the truncation order 0..{self.order}")
         value = math.factorial(n) * self.coeffs[n]
         if value.denominator != 1:
             raise ConsistencyError(f"{n}! * a_{n} = {value} is not an integer")
@@ -76,20 +85,21 @@ def egf_iterate(series: TruncatedEGF) -> TruncatedEGF:
 
         G_j = sum(C(j-1, i-1) * F_i * G_{j-i}, i = 1..j),
 
-    so the inner sums run in integers, with each binomial row built
-    once. Every F_i must be an integer: a coefficient with non-integral
-    i! * a_i raises ConsistencyError. The step returns a_j = G_j / j!.
+    so the inner sums run in integers. The binomial rows C(0..N-1) are
+    read from their table once per step, and each output a_j = G_j / j!
+    is built as one Fraction. Every F_i must be an integer: a
+    coefficient with non-integral i! * a_i raises ConsistencyError.
     Truncation commutes with the composition, so a degree-N input yields
     the exact degree-N prefix of the next iterate.
     """
     coeffs = series.coeffs
     if coeffs[0] != 1:
         raise ValueError("not an exponential-map iterate: constant term != 1")
-    f = [0]  # F_0 is never read: subtracting 1 clears it
+    f = []  # F_1, ..., F_j; F_0 is never read, as subtracting 1 clears it
     g = [1]
     out = [coeffs[0]]  # a_0 = 1
     factorial = 1
-    for j in range(1, len(coeffs)):
+    for j, weights in enumerate(binomial_rows(len(coeffs) - 1), 1):
         factorial *= j
         a = coeffs[j]
         scale, rest = divmod(factorial, a.denominator)
@@ -97,10 +107,10 @@ def egf_iterate(series: TruncatedEGF) -> TruncatedEGF:
             raise ConsistencyError(f"{j}! * a_{j} = {factorial * a} is not an integer")
         f.append(scale * a.numerator)
         # C(j-1, i-1) * F_i * G_{j-i} for i = 1..j; reversed(g) is G_{j-1}, ..., G_0
-        total = sum(map(operator.mul, binomial_row(j - 1), map(operator.mul, f[1:], reversed(g))))
+        total = sum(map(operator.mul, weights, map(operator.mul, f, reversed(g))))
         g.append(total)
         out.append(Fraction(total, factorial))
-    return TruncatedEGF(tuple(out))
+    return TruncatedEGF(out)
 
 
 def bell_via_egf(n: int, m: int) -> int:

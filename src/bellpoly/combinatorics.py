@@ -2,9 +2,10 @@
 
 Stirling numbers of the second kind, Bernoulli numbers, and the
 closed-form polynomials for the power sums 1**r + 2**r + ... + m**r.
-Single binomials and factorials are math.comb and math.factorial; a
-whole row C(n, 0..n) comes from binomial_row. Everything is integer or
-Fraction arithmetic; nothing here is approximate.
+Single binomials and factorials are math.comb and math.factorial; the
+first rows of Pascal's triangle come in one call from binomial_rows.
+Everything is integer or Fraction arithmetic; nothing here is
+approximate.
 
 Each quantity depends on one index only and is built once into an
 append-only table: Stirling rows (read one number at a time through
@@ -82,10 +83,12 @@ class BinomialTable(_AppendOnlyTable):
         prev = self._entries[i - 1]
         return (1, *map(operator.add, prev, prev[1:]), 1)
 
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError("binomial rows need a non-negative index")
-        return self._get(n)
+    def rows(self, count: int) -> list[tuple[int, ...]]:
+        if count < 0:
+            raise ValueError("binomial rows need a non-negative count")
+        if count:
+            self._get(count - 1)
+        return self._entries[:count]
 
 
 class BernoulliSequence(_AppendOnlyTable):
@@ -144,9 +147,12 @@ def stirling_row(n: int) -> tuple[int, ...]:
     return _STIRLING.row(n)
 
 
-def binomial_row(n: int) -> tuple[int, ...]:
-    """The whole row C(n, 0), ..., C(n, n) as a tuple, built once."""
-    return _BINOMIAL.row(n)
+def binomial_rows(count: int) -> list[tuple[int, ...]]:
+    """Rows C(k, 0..k) for k = 0..count-1 in one list.
+
+    Each row is the stored tuple, built once; the list is a new one.
+    """
+    return _BINOMIAL.rows(count)
 
 
 def bernoulli(k: int) -> Fraction:

@@ -35,9 +35,10 @@ class TestEGFIteration:
         assert [twice.integer_coefficient(n) for n in range(1, 5)] == [1, 3, 12, 60]
 
     def test_integer_kernel_matches_rational_step(self):
-        for order in range(0, 25):
+        # orders 0..24 for 8 steps, and 64, the CLI's largest n, for 3
+        for order, steps in [*((order, 8) for order in range(0, 25)), (64, 3)]:
             series = TruncatedEGF.exponential(order)
-            for _ in range(8):
+            for _ in range(steps):
                 step = egf_iterate(series)
                 assert step == egf_step_rational(series)
                 series = step
@@ -59,6 +60,22 @@ class TestEGFIteration:
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):
             TruncatedEGF(())
+
+    def test_entries_are_stored_as_fractions(self):
+        from_ints = TruncatedEGF([1, 2, 3])
+        from_fractions = TruncatedEGF((Fraction(1), Fraction(2), Fraction(3)))
+        mixed = TruncatedEGF([1, Fraction(2), 3])
+        assert from_ints == from_fractions == mixed
+        for series in (from_ints, from_fractions, mixed):
+            assert [type(c) for c in series.coeffs] == [Fraction] * 3
+        assert TruncatedEGF([Fraction(4, 6)]).coeffs == (Fraction(2, 3),)
+
+    @pytest.mark.parametrize("n", [-1, 5, 6])
+    def test_integer_coefficient_outside_the_order(self, n):
+        series = TruncatedEGF.exponential(4)
+        with pytest.raises(ValueError, match=r"^coefficient -?\d+ is outside the truncation order 0\.\.4$"):
+            series.integer_coefficient(n)
+        assert series.integer_coefficient(4) == 1
 
 
 class TestValues:

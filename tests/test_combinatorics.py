@@ -92,6 +92,22 @@ class TestPowerSums:
         assert faulhaber_polynomial(r).evaluate(m) == power_sum_oracle(r, m)
 
 
+def test_binomial_rows_match_comb_and_are_counted():
+    clear_caches()
+    assert combinatorics.binomial_rows(0) == []
+    rows = combinatorics.binomial_rows(12)
+    assert rows == [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(12)]
+    assert cache_info()["binomial_rows"] == 12
+    # a shorter prefix reads the stored rows and builds none
+    assert all(r is s for r, s in zip(combinatorics.binomial_rows(5), rows))
+    assert cache_info()["binomial_rows"] == 12
+    combinatorics.binomial_rows(20)
+    assert cache_info()["binomial_rows"] == 20
+    with pytest.raises(ValueError):
+        combinatorics.binomial_rows(-1)
+    clear_caches()
+
+
 def test_tables_survive_concurrent_fills():
     clear_caches()
     errors = []
@@ -108,7 +124,7 @@ def test_tables_survive_concurrent_fills():
             for k in range(0, 20):
                 bernoulli(k)
             together.wait()
-            binomials.append([combinatorics.binomial_row(n) for n in range(40)])
+            binomials.append(combinatorics.binomial_rows(40))
             together.wait()
             results.append([faulhaber_polynomial(r) for r in range(30)])
         except Exception as exc:  # pragma: no cover - only on failure
