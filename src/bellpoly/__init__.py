@@ -20,8 +20,6 @@ from .bell_numbers import (
     egf_iterate,
 )
 from .combinatorics import (
-    BernoulliSequence,
-    StirlingTable,
     bernoulli,
     faulhaber_polynomial,
     power_sum_oracle,
@@ -47,10 +45,8 @@ __all__ = [
     "AsymptoticReport",
     "BellPolynomial",
     "BellTable",
-    "BernoulliSequence",
     "ConsistencyError",
     "RationalPolynomial",
-    "StirlingTable",
     "TruncatedEGF",
     "asymptotic_report",
     "bell_via_egf",
@@ -72,18 +68,30 @@ __all__ = [
 ]
 
 
+# Every memoized table by its cache_info() name; each has len() and clear().
+_TABLES = {
+    "stirling_rows": _combinatorics._STIRLING,
+    "binomial_rows": _combinatorics._BINOMIAL,
+    "bernoulli_numbers": _combinatorics._BERNOULLI,
+    "faulhaber_polynomials": _combinatorics._FAULHABER,
+    "recursion_cells": _bell_numbers._BELL,
+    "interpolated_polynomials": _polynomial._FITS,
+}
+
+
 def clear_caches() -> None:
-    """Drop all memoized tables (mainly for tests that patch internals).
+    """Empty every memoized table in place (mainly for tests that patch internals).
 
     The tables are the Stirling rows behind `stirling2` and
     `stirling_row`, the binomial rows that weight each `egf_iterate`
     step, the Bernoulli numbers, the Faulhaber polynomials behind
     `faulhaber_polynomial`, the recursion's grid of B(n, m), and the
-    checked fits that `interpolate_bell_polynomial` stores per n.
+    checked fits that `interpolate_bell_polynomial` stores per n. Each
+    stays the same object; a call already running finishes on the
+    entries it started with.
     """
-    _combinatorics._reset_tables()
-    _bell_numbers._reset_tables()
-    _polynomial._reset_tables()
+    for table in _TABLES.values():
+        table.clear()
 
 
 def cache_info() -> dict[str, int]:
@@ -94,8 +102,4 @@ def cache_info() -> dict[str, int]:
     n, m >= 1) and `interpolated_polynomials`; `clear_caches` sets
     every count to 0.
     """
-    return {
-        **_combinatorics._table_sizes(),
-        **_bell_numbers._table_sizes(),
-        **_polynomial._table_sizes(),
-    }
+    return {name: len(table) for name, table in _TABLES.items()}

@@ -132,11 +132,20 @@ class BellTable:
 
     The m = 0 row and n = 0 column are identically 1 and never stored.
     Fills are lock-guarded so an instance may be shared across threads.
+    `clear` swaps in an empty dict under the lock, so a call already
+    running finishes on the old one.
     """
 
     def __init__(self):
         self._entries: dict[tuple[int, int], int] = {}
         self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries = {}
 
     def value(self, n: int, m: int) -> int:
         if n < 0 or m < 0:
@@ -144,12 +153,14 @@ class BellTable:
         if n == 0 or m == 0:
             return 1
         key = (n, m)
-        if key not in self._entries:
+        entries = self._entries
+        if key not in entries:
             with self._lock:
-                self._fill(n, m)
-        return self._entries[key]
+                self._fill(entries, n, m)
+        return entries[key]
 
-    def _fill(self, n: int, m: int) -> None:
+    @staticmethod
+    def _fill(entries: dict[tuple[int, int], int], n: int, m: int) -> None:
         """Store every missing B(nn, mm) with nn <= n and mm <= m.
 
         Every fill stores a whole rectangle [1..n] x [1..m], so the stored
@@ -162,7 +173,6 @@ class BellTable:
         S(nn, 0) = 0 weights B(0, mm) = 1, so a row lines up with the
         list as is.
         """
-        entries = self._entries
         start = m - 1
         while start > 0 and (n, start) not in entries:
             start -= 1
@@ -192,12 +202,3 @@ def bell_via_recursion(n: int, m: int) -> int:
     """B(n, m) via the Stirling recursion, memoized."""
     return _BELL.value(n, m)
 
-
-def _reset_tables() -> None:
-    """Drop memoized state. Test hook."""
-    global _BELL
-    _BELL = BellTable()
-
-
-def _table_sizes() -> dict[str, int]:
-    return {"recursion_cells": len(_BELL._entries)}

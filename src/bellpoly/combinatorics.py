@@ -8,10 +8,11 @@ Everything is integer or Fraction arithmetic; nothing here is
 approximate.
 
 Each quantity depends on one index only and is built once into an
-append-only table: Stirling rows (read one number at a time through
+append-only table, given the function that builds each entry from the
+ones before it: Stirling rows (read one number at a time through
 stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
 rows, Bernoulli numbers and Faulhaber polynomials. clear_caches()
-empties them all, and cache_info() counts their entries.
+empties them in place, and cache_info() counts their entries.
 """
 
 from __future__ import annotations
@@ -27,124 +28,98 @@ from .rational_poly import RationalPolynomial
 class _AppendOnlyTable:
     """Entries 0, 1, 2, ... of a sequence, each computed once on demand.
 
-    Entry i is built by `_next(i)` from the entries before it; the table
-    grows and is never evicted. Fills are lock-guarded so an instance may
-    be shared across threads, and a read of a filled entry takes no lock.
+    `build(entries)` returns entry len(entries) from the entries before
+    it; nothing is evicted. Fills are lock-guarded, and a read of a
+    filled entry takes no lock. `clear` swaps in an empty list under the
+    lock, so a call already running finishes on the old one.
     """
 
-    def __init__(self):
+    def __init__(self, build):
+        self._build = build
         self._entries: list = []
         self._lock = threading.Lock()
 
-    def _get(self, i: int):
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries = []
+
+    def fill(self, count: int) -> list:
+        """The stored list, holding at least `count` entries."""
         entries = self._entries
-        if i >= len(entries):
+        if len(entries) < count:
             with self._lock:
-                while len(entries) <= i:
-                    entries.append(self._next(len(entries)))
-        return entries[i]
+                while len(entries) < count:
+                    entries.append(self._build(entries))
+        return entries
 
 
-class StirlingTable(_AppendOnlyTable):
-    """Memoized triangle of Stirling numbers of the second kind.
+def _stirling_row(rows: list) -> tuple[int, ...]:
+    """Row S(n, 0..n) by S(n, k) = k*S(n-1, k) + S(n-1, k-1), from S(0, 0) = 1."""
+    n = len(rows)
+    if n == 0:
+        return (1,)
+    prev = rows[-1]
+    row = [0] * (n + 1)
+    for k in range(1, n):
+        row[k] = k * prev[k] + prev[k - 1]
+    row[n] = 1
+    return tuple(row)
 
-    Rows follow S(0,0) = 1 and S(n,k) = k*S(n-1,k) + S(n-1,k-1). Row n
-    is stored as the tuple S(n, 0..n) and served whole by `row`.
+
+def _binomial_row(rows: list) -> tuple[int, ...]:
+    """Row C(n, 0..n) of Pascal's triangle, from row n-1."""
+    if not rows:
+        return (1,)
+    prev = rows[-1]
+    return (1, *map(operator.add, prev, prev[1:]), 1)
+
+
+def _bernoulli_number(values: list) -> Fraction:
+    """b_k from sum(comb(k+1, j) * b_j for j in 0..k) = 0 for k >= 1.
+
+    This forces b_1 = -1/2 and b_k = 0 for odd k >= 3.
     """
-
-    def _next(self, i: int) -> tuple[int, ...]:
-        if i == 0:
-            return (1,)
-        prev = self._entries[i - 1]
-        row = [0] * (i + 1)
-        for j in range(1, i):
-            row[j] = j * prev[j] + prev[j - 1]
-        row[i] = 1
-        return tuple(row)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        """S(n, 0), ..., S(n, n), the stored tuple itself."""
-        if n < 0:
-            raise ValueError("Stirling numbers need non-negative arguments")
-        return self._get(n)
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("Stirling numbers need non-negative arguments")
-        return self._get(n)[k] if k <= n else 0
+    k = len(values)
+    if k == 0:
+        return Fraction(1)
+    return Fraction(-sum(math.comb(k + 1, j) * values[j] for j in range(k)), k + 1)
 
 
-class BinomialTable(_AppendOnlyTable):
-    """Pascal's triangle: row n is the tuple C(n, 0..n), built from row n-1."""
-
-    def _next(self, i: int) -> tuple[int, ...]:
-        if i == 0:
-            return (1,)
-        prev = self._entries[i - 1]
-        return (1, *map(operator.add, prev, prev[1:]), 1)
-
-    def rows(self, count: int) -> list[tuple[int, ...]]:
-        if count < 0:
-            raise ValueError("binomial rows need a non-negative count")
-        if count:
-            self._get(count - 1)
-        return self._entries[:count]
+def _faulhaber(polys: list) -> RationalPolynomial:
+    """P_r for r = len(polys), see faulhaber_polynomial."""
+    r = len(polys)
+    evens = [(j, bernoulli(j)) for j in range(2, r + 1, 2)]  # odd ones vanish
+    scale = math.lcm(2, *[b.denominator for _, b in evens])
+    nums = [0] * (r + 2)
+    nums[r + 1] = scale
+    if r >= 1:
+        nums[r] = scale // 2 * (r + 1)
+    for j, b in evens:
+        nums[r + 1 - j] = math.comb(r + 1, j) * b.numerator * (scale // b.denominator)
+    return RationalPolynomial.from_numerators(nums, scale * (r + 1))
 
 
-class BernoulliSequence(_AppendOnlyTable):
-    """Bernoulli numbers b_0, b_1, ... under the b_1 = -1/2 convention.
-
-    Values come from the defining recurrence
-    sum(comb(k+1, j) * b_j for j in 0..k) = 0 for k >= 1, which
-    forces b_1 = -1/2 and b_k = 0 for odd k >= 3.
-    """
-
-    def _next(self, i: int) -> Fraction:
-        if i == 0:
-            return Fraction(1)
-        values = self._entries
-        return Fraction(-sum(math.comb(i + 1, j) * values[j] for j in range(i)), i + 1)
-
-    def value(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("Bernoulli numbers need a non-negative index")
-        return self._get(k)
-
-
-class FaulhaberTable(_AppendOnlyTable):
-    """The power-sum polynomials P_0, P_1, ..., see faulhaber_polynomial."""
-
-    def _next(self, r: int) -> RationalPolynomial:
-        evens = [(j, bernoulli(j)) for j in range(2, r + 1, 2)]  # odd ones vanish
-        scale = math.lcm(2, *[b.denominator for _, b in evens])
-        nums = [0] * (r + 2)
-        nums[r + 1] = scale
-        if r >= 1:
-            nums[r] = scale // 2 * (r + 1)
-        for j, b in evens:
-            nums[r + 1 - j] = math.comb(r + 1, j) * b.numerator * (scale // b.denominator)
-        return RationalPolynomial.from_numerators(nums, scale * (r + 1))
-
-    def value(self, r: int) -> RationalPolynomial:
-        if r < 0:
-            raise ValueError("power-sum exponent must be non-negative")
-        return self._get(r)
-
-
-_STIRLING = StirlingTable()
-_BINOMIAL = BinomialTable()
-_BERNOULLI = BernoulliSequence()
-_FAULHABER = FaulhaberTable()
+_STIRLING = _AppendOnlyTable(_stirling_row)
+_BINOMIAL = _AppendOnlyTable(_binomial_row)
+_BERNOULLI = _AppendOnlyTable(_bernoulli_number)
+_FAULHABER = _AppendOnlyTable(_faulhaber)
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks."""
-    return _STIRLING.value(n, k)
+    if n < 0 or k < 0:
+        raise ValueError("Stirling numbers need non-negative arguments")
+    return _STIRLING.fill(n + 1)[n][k] if k <= n else 0
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
     """The whole row S(n, 0), ..., S(n, n) as a tuple, built once."""
-    return _STIRLING.row(n)
+    if n < 0:
+        raise ValueError("Stirling numbers need non-negative arguments")
+    return _STIRLING.fill(n + 1)[n]
 
 
 def binomial_rows(count: int) -> list[tuple[int, ...]]:
@@ -152,12 +127,16 @@ def binomial_rows(count: int) -> list[tuple[int, ...]]:
 
     Each row is the stored tuple, built once; the list is a new one.
     """
-    return _BINOMIAL.rows(count)
+    if count < 0:
+        raise ValueError("binomial rows need a non-negative count")
+    return _BINOMIAL.fill(count)[:count]
 
 
 def bernoulli(k: int) -> Fraction:
     """The Bernoulli number b_k (with b_1 = -1/2)."""
-    return _BERNOULLI.value(k)
+    if k < 0:
+        raise ValueError("Bernoulli numbers need a non-negative index")
+    return _BERNOULLI.fill(k + 1)[k]
 
 
 def power_sum_oracle(r: int, m: int) -> int:
@@ -186,22 +165,7 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
     (r+1) times the lcm of 2 and the Bernoulli denominators, once per r:
     the polynomials are memoized, and each call returns the stored one.
     """
-    return _FAULHABER.value(r)
+    if r < 0:
+        raise ValueError("power-sum exponent must be non-negative")
+    return _FAULHABER.fill(r + 1)[r]
 
-
-def _reset_tables() -> None:
-    """Drop memoized state. Test hook."""
-    global _STIRLING, _BINOMIAL, _BERNOULLI, _FAULHABER
-    _STIRLING = StirlingTable()
-    _BINOMIAL = BinomialTable()
-    _BERNOULLI = BernoulliSequence()
-    _FAULHABER = FaulhaberTable()
-
-
-def _table_sizes() -> dict[str, int]:
-    return {
-        "stirling_rows": len(_STIRLING._entries),
-        "binomial_rows": len(_BINOMIAL._entries),
-        "bernoulli_numbers": len(_BERNOULLI._entries),
-        "faulhaber_polynomials": len(_FAULHABER._entries),
-    }

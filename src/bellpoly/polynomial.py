@@ -270,12 +270,3 @@ def asymptotic_report(n: int, m: int) -> AsymptoticReport:
     leading = leading_coefficient(n) * m ** (n - 1)
     return AsymptoticReport(exact=exact, leading=leading, ratio=Fraction(exact) / leading)
 
-
-def _reset_tables() -> None:
-    """Drop memoized state. Test hook."""
-    with _FITS_LOCK:
-        _FITS.clear()
-
-
-def _table_sizes() -> dict[str, int]:
-    return {"interpolated_polynomials": len(_FITS)}

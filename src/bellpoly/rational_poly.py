@@ -1,8 +1,8 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 A polynomial is stored as integer numerators over one positive common
-denominator, so shifting, evaluating, adding and multiplying all run in
-integer arithmetic. A Fraction is made only where a coefficient or a
+denominator, so shifting, evaluating, combining and multiplying all run
+in integer arithmetic. A Fraction is made only where a coefficient or a
 value leaves the class. Callers that work in integers read
 `numerators` and `denominator` and build through `from_numerators`.
 """
@@ -76,10 +76,6 @@ class RationalPolynomial:
         # The default slot-state restore would write through __setattr__;
         # copy and pickle rebuild through the constructor instead.
         return (type(self), (self._nums, self._den))
-
-    @classmethod
-    def zero(cls) -> RationalPolynomial:
-        return cls()
 
     @classmethod
     def constant(cls, value: int | Fraction) -> RationalPolynomial:
@@ -182,18 +178,10 @@ class RationalPolynomial:
         nums = [a * c.numerator for a in self._nums]
         return self.from_numerators(nums, self._den * c.denominator)
 
-    def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.linear_combination([(1, self), (1, other)])
-
     def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         return self.linear_combination([(1, self), (-1, other)])
-
-    def __neg__(self) -> RationalPolynomial:
-        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):

@@ -160,16 +160,17 @@ def _check_dual_construction() -> None:
 
 
 def _check_polynomial_shape() -> None:
+    # B_n is integer-valued of degree n - 1, so by Polya it is an integer
+    # combination of C(m, k) for k < n: every coefficient times (n-1)! is
+    # an integer.
     for n in range(1, 11):
         p = construct_bell_polynomial(n).poly
         _require(p.degree == n - 1, f"degree != n - 1 at n = {n}")
         _require(p.constant_term() == 1, f"constant term != 1 at n = {n}")
-        for j in range(p.degree + 1):
-            c = p.coefficient(j)
-            _require(
-                isinstance(c, Fraction) and c == Fraction(c),
-                f"coefficient c_{j} not a reduced rational at n = {n}",
-            )
+        _require(
+            math.factorial(n - 1) % p.denominator == 0,
+            f"denominator {p.denominator} does not divide (n-1)! at n = {n}",
+        )
 
 
 def _check_leading_coefficient() -> None:

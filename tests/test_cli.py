@@ -14,7 +14,9 @@ import bellpoly
 import bellpoly.bell_numbers
 import bellpoly.cli
 import bellpoly.polynomial
+import bellpoly.selfcheck
 from bellpoly.cli import main
+from bellpoly.rational_poly import RationalPolynomial
 from bellpoly.selfcheck import run_selfcheck
 
 GOLDEN_TABLE = (
@@ -362,3 +364,18 @@ class TestSelfcheckFaultInjection:
         finally:
             monkeypatch.undo()
             bellpoly.clear_caches()
+
+    def test_denominator_not_dividing_factorial_fails_the_shape_check(self, monkeypatch):
+        # degree 2 and constant term 1 as B_3 has, but a denominator of 7
+        # does not divide 2!, so the coefficients are no integer
+        # combination of C(m, 0), C(m, 1), C(m, 2)
+        real = bellpoly.selfcheck.construct_bell_polynomial
+        fake = bellpoly.polynomial.BellPolynomial(3, RationalPolynomial([1, 1, Fraction(3, 7)]))
+        assert fake.poly.denominator == 7
+        monkeypatch.setattr(
+            bellpoly.selfcheck, "construct_bell_polynomial", lambda n: fake if n == 3 else real(n)
+        )
+        checks = dict(bellpoly.selfcheck.CHECKS)
+        check = checks["bell polynomial shape (degree, constant term, rational coefficients)"]
+        with pytest.raises(bellpoly.selfcheck.CheckFailure, match="at n = 3"):
+            check()

@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly import (
+    bell_numbers,
     bell_via_egf,
+    bell_via_recursion,
     bernoulli,
     cache_info,
     combinatorics,
     clear_caches,
     construct_bell_polynomial,
     faulhaber_polynomial,
+    interpolate_bell_polynomial,
+    polynomial,
     power_sum_oracle,
     stirling2,
+    stirling_row,
 )
 from bellpoly.rational_poly import RationalPolynomial
 
@@ -161,17 +166,79 @@ def test_tables_survive_concurrent_fills():
     clear_caches()
 
 
+def module_tables():
+    return [
+        combinatorics._STIRLING, combinatorics._BINOMIAL, combinatorics._BERNOULLI,
+        combinatorics._FAULHABER, bell_numbers._BELL, polynomial._FITS,
+    ]
+
+
 def test_cache_info_counts_every_table():
     clear_caches()
     assert set(cache_info().values()) == {0}
     construct_bell_polynomial(6)
     bell_via_egf(5, 3)
     info = cache_info()
-    assert sorted(info) == [
+    keys = [
         "bernoulli_numbers", "binomial_rows", "faulhaber_polynomials",
         "interpolated_polynomials", "recursion_cells", "stirling_rows",
     ]
+    assert sorted(info) == keys
     assert all(count > 0 for count in info.values()), info
     assert info["interpolated_polynomials"] == 6
+    tables = module_tables()
     clear_caches()
+    # each table is emptied in place: the module globals keep their objects
+    assert all(now is before for now, before in zip(module_tables(), tables))
+    assert sorted(cache_info()) == keys
     assert set(cache_info().values()) == {0}
+
+
+def test_clear_caches_while_tables_fill():
+    def queries():
+        return (
+            [stirling_row(n) for n in range(25)],
+            combinatorics.binomial_rows(30),
+            [bell_via_recursion(n, m) for n in range(1, 13) for m in range(1, 13)],
+            [interpolate_bell_polynomial(n).poly for n in range(1, 16)],
+        )
+
+    clear_caches()
+    expected = queries()  # fresh, in this thread alone
+    clear_caches()
+    errors = []
+    results = []
+    stop = threading.Event()
+
+    def clearer():
+        # a short wait between clears spreads them over the workers' fills;
+        # a clearer that never waits clears in bursts between them
+        while not stop.wait(1e-4):
+            clear_caches()
+
+    def worker():
+        try:
+            for _ in range(100):
+                results.append(queries())
+        except Exception as exc:  # pragma: no cover - only on failure
+            errors.append(exc)
+
+    workers = [threading.Thread(target=worker) for _ in range(4)]
+    clearing = threading.Thread(target=clearer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a clear lands inside fills
+    try:
+        clearing.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        clearing.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers + [clearing])
+    assert not errors, errors
+    assert len(results) == 400
+    assert all(got == expected for got in results)
+    clear_caches()

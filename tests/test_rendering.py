@@ -85,7 +85,7 @@ class TestPolynomialStr:
         assert polynomial_str(B3) == "(3/2)m^2 + (5/2)m + 1"
         assert polynomial_str(RationalPolynomial([1, 1])) == "m + 1"
         assert polynomial_str(RationalPolynomial([1, 3])) == "3m + 1"
-        assert polynomial_str(RationalPolynomial.zero()) == "0"
+        assert polynomial_str(RationalPolynomial()) == "0"
         assert polynomial_str(RationalPolynomial.constant(1)) == "1"
         assert polynomial_str(RationalPolynomial([0, -1])) == "-m"
         assert (
