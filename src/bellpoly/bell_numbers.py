@@ -40,7 +40,7 @@ class TruncatedEGF(Record):
     exponential map, a_0 = 1 and j! * a_j is the integer B(j, m).
     """
 
-    _fields = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
         # From a list, not a generator: a tuple built from a generator is

@@ -34,7 +34,6 @@ import math
 import threading
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 
 from .bell_numbers import ConsistencyError, bell_via_recursion
 from .combinatorics import faulhaber_polynomial, stirling_row
@@ -52,16 +51,11 @@ class BellPolynomial(Record):
     the constant polynomial 1 (an extension, since B(0, m) = 1).
     """
 
-    _fields = ("n", "poly")
+    __slots__ = _fields = ("n", "poly")
 
     def __init__(self, n: int, poly: RationalPolynomial):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "poly", poly)
-
-    @cached_property
-    def shifted(self) -> RationalPolynomial:
-        """The polynomial m -> B(n, m-1), shifted once per instance."""
-        return self.poly.shift(-1)
 
 
 # n -> its checked interpolation; filled under the lock, read without it.
@@ -137,11 +131,12 @@ def difference_polynomial(
     """The polynomial d with d(m) = B(n, m) - B(n, m-1), for n >= 2.
 
     By the Stirling recursion the difference equals
-    sum(B(k, m-1) * S(n, k) for k in 1..n-1); each B(k, m-1) is the
-    k-th Bell polynomial shifted by -1 and re-expanded in m, which each
-    BellPolynomial computes once. `lower` must hold the Bell polynomials
-    for 1..n-1 in order. d has degree n-2 and a positive leading
-    coefficient; anything else raises ConsistencyError.
+    sum(B(k, m-1) * S(n, k) for k in 1..n-1). Shifting is linear, so
+    the Stirling-weighted sum of the unshifted Bell polynomials is
+    taken first and then shifted once, by -1, and re-expanded in m.
+    `lower` must hold the Bell polynomials for 1..n-1 in order. d has
+    degree n-2 and a positive leading coefficient; anything else raises
+    ConsistencyError.
     """
     if n < 2:
         raise ValueError("difference polynomials are defined for n >= 2")
@@ -149,8 +144,8 @@ def difference_polynomial(
         raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
     weights = stirling_row(n)
     total = RationalPolynomial.linear_combination(
-        [(weights[k], lower[k - 1].shifted) for k in range(1, n)]
-    )
+        [(weights[k], lower[k - 1].poly) for k in range(1, n)]
+    ).shift(-1)
     if total.degree != n - 2 or total.numerators[-1] <= 0:
         raise ConsistencyError(
             f"difference polynomial for n={n} has degree {total.degree} "
@@ -169,9 +164,10 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
 
     where P_r is the power-sum polynomial. The sum runs in integers:
     d's integer numerators weight the P_r over d's one denominator.
-    Each level is shifted once and each P_r is built once, so one call
-    makes n-1 shifts. Every level is checked against the interpolation
-    route; any coefficient mismatch raises ConsistencyError.
+    Each difference is shifted once and each P_r is built once, so one
+    call makes n-1 shifts. Every level is checked against the
+    interpolation route; any coefficient mismatch raises
+    ConsistencyError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -254,7 +250,7 @@ def verify_theorem(n: int) -> Fraction:
 class AsymptoticReport(Record):
     """B(n, m) against its leading term (n!/2**(n-1)) * m**(n-1)."""
 
-    _fields = ("exact", "leading", "ratio")
+    __slots__ = _fields = ("exact", "leading", "ratio")
 
     def __init__(self, exact: int, leading: Fraction, ratio: Fraction):
         object.__setattr__(self, "exact", exact)

@@ -13,17 +13,22 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .records import Record
 
-class RationalPolynomial:
+
+class RationalPolynomial(Record):
     """Immutable polynomial sum(c[j] * x**j) over the rationals.
 
     Stored as a tuple of integer numerators a_j over one positive
     denominator d, with c[j] = a_j / d. The form is canonical: trailing
     zeros are stripped, so the highest stored numerator is nonzero, and
     gcd(a_0, ..., a_k, d) = 1. Equal polynomials therefore store equal
-    numerators and denominators, and equality and hashing are
-    structural. The zero polynomial stores no numerators over d = 1 and
-    reports degree -1. Coefficients and values are returned as Fractions.
+    numerators and denominators, so the Record fields (_nums, _den)
+    give structural equality and hashing, and copy and pickle rebuild
+    through the constructor. A RationalPolynomial compares equal only
+    to its own class. The zero polynomial stores no numerators over
+    d = 1 and reports degree -1. Coefficients and values are returned
+    as Fractions.
 
     Hot paths build every tuple here from a list, never from a
     generator: a tuple built from a generator is resized after it is
@@ -31,7 +36,7 @@ class RationalPolynomial:
     per-size free lists, which a long run fills with megabytes.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = _fields = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), denominator: int = 1):
         """The polynomial sum(coeffs[j] * x**j) / denominator.
@@ -68,14 +73,6 @@ class RationalPolynomial:
         poly = object.__new__(cls)
         poly._store(nums, den)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
-
-    def __reduce__(self):
-        # The default slot-state restore would write through __setattr__;
-        # copy and pickle rebuild through the constructor instead.
-        return (type(self), (self._nums, self._den))
 
     @classmethod
     def constant(cls, value: int | Fraction) -> RationalPolynomial:
@@ -174,10 +171,6 @@ class RationalPolynomial:
                 acc[i] += factor * a
         return cls.from_numerators(acc, den * denominator)
 
-    def _scaled(self, c: int | Fraction) -> RationalPolynomial:
-        nums = [a * c.numerator for a in self._nums]
-        return self.from_numerators(nums, self._den * c.denominator)
-
     def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
@@ -196,21 +189,13 @@ class RationalPolynomial:
                     out[i + j] += x * y
             return self.from_numerators(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self.linear_combination([(other, self)])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self.linear_combination([(other, self)])
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self._nums == other._nums and self._den == other._den
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"

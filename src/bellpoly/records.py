@@ -2,7 +2,9 @@
 
 `dataclasses` imports `inspect` and with it most of the compiler
 tooling, which costs a cold `bell` process more than the rest of the
-package. The few records here need only what a frozen dataclass gives.
+package. The value types here need only what a frozen, slotted
+dataclass gives, and every one of them, `RationalPolynomial` included,
+gets it from `Record`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from __future__ import annotations
 class Record:
     """Base for small immutable records, compared by their fields.
 
-    A subclass lists its fields in `_fields` and sets each one once in
-    __init__ through object.__setattr__. After that, assigning or
-    deleting an attribute raises AttributeError. Equality holds between
+    A subclass declares `__slots__ = _fields = (...)` and sets each
+    field once, when it builds the instance, through object.__setattr__.
+    After that, assigning or deleting an attribute raises
+    AttributeError. Instances hold no __dict__. Equality holds between
     instances of the same class with equal fields, and hash and repr
-    follow the fields in order. Instances keep a __dict__, so copy and
-    pickle restore it as they would a frozen dataclass's, and a
-    functools.cached_property can store its value there.
+    follow the fields in order. Copy and pickle rebuild an instance by
+    calling its class with its fields in order, so the constructor must
+    accept them positionally.
     """
 
     __slots__ = ()
@@ -37,6 +40,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__qualname__} is immutable")

@@ -29,13 +29,6 @@ METHODS = ("egf", "recursion", "poly", "auto")
 AUTO_POLY_THRESHOLD = 1000
 
 
-def fraction_str(value: Fraction) -> str:
-    """"p/q", or just "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def decimal_expansion(value: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` places, by exact long division.
 
@@ -66,7 +59,7 @@ def polynomial_str(p: RationalPolynomial, var: str = "m") -> str:
             continue
         mag = abs(c)
         if j == 0:
-            body = fraction_str(mag)
+            body = str(mag)
         else:
             var_part = var if j == 1 else f"{var}^{j}"
             if mag == 1:
@@ -74,7 +67,7 @@ def polynomial_str(p: RationalPolynomial, var: str = "m") -> str:
             elif mag.denominator == 1:
                 body = f"{mag.numerator}{var_part}"
             else:
-                body = f"({fraction_str(mag)}){var_part}"
+                body = f"({mag!s}){var_part}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -169,10 +162,10 @@ def render_poly(n: int, fmt: str) -> str:
     """
     bp = construct_bell_polynomial(n)
     count = n if n >= 1 else 1
-    coeffs = [fraction_str(bp.poly.coefficient(j)) for j in range(count)]
+    coeffs = [str(bp.poly.coefficient(j)) for j in range(count)]
     expected_leading = leading_coefficient(n) if n >= 1 else Fraction(1)
     match = bp.poly.leading_coefficient() == expected_leading
-    leading = fraction_str(expected_leading)
+    leading = str(expected_leading)
     match_str = "true" if match else "false"
     named = [(f"c_{j}", c) for j, c in enumerate(coeffs)]
     return _document(
@@ -192,8 +185,8 @@ def render_asympt(n: int, m: int, digits: int, fmt: str) -> str:
         ("n", str(n)),
         ("m", str(m)),
         ("exact", str(report.exact)),
-        ("leading", fraction_str(report.leading)),
-        ("ratio", fraction_str(report.ratio)),
+        ("leading", str(report.leading)),
+        ("ratio", str(report.ratio)),
         ("ratio_decimal", decimal_expansion(report.ratio, digits)),
     ]
     doc = {"n": n, "m": m, "digits": digits, **dict(fields[2:])}

@@ -341,6 +341,26 @@ class TestByteStability:
         assert proc.stdout.strip().endswith("invariants hold")
 
 
+def readme_cli_examples():
+    """Each `$ bell ...` line of README's CLI block, with the lines under it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [chunk.splitlines() for chunk in block.strip().split("\n\n")]
+    return [pytest.param(command, output, id=command) for command, *output in examples]
+
+
+@pytest.mark.parametrize("command, expected", readme_cli_examples())
+def test_readme_cli_transcript(command, expected):
+    assert command.startswith("$ bell ")
+    rc, out = run_cli(command.split()[2:])
+    assert rc == 0
+    lines = out.splitlines()
+    if "..." in expected:  # elided output: only its first and last lines are shown
+        assert [lines[0], lines[-1]] == [expected[0], expected[-1]]
+    else:
+        assert lines == expected
+
+
 class TestSelfcheckFaultInjection:
     def test_corrupted_recursion_route_is_named_first(self, monkeypatch):
         real = bellpoly.bell_numbers.stirling_row

@@ -16,7 +16,6 @@ from bellpoly.rendering import (
     METHODS,
     compute_value,
     decimal_expansion,
-    fraction_str,
     polynomial_str,
     render_asympt,
     render_poly,
@@ -70,14 +69,6 @@ class TestDecimalExpansion:
                 quantum, rounding=decimal.ROUND_HALF_EVEN
             )
         assert decimal_expansion(Fraction(num, den), digits) == format(expected, "f")
-
-
-class TestFractionStr:
-    def test_forms(self):
-        assert fraction_str(Fraction(3, 2)) == "3/2"
-        assert fraction_str(Fraction(7)) == "7"
-        assert fraction_str(Fraction(-5, 3)) == "-5/3"
-        assert fraction_str(Fraction(0)) == "0"
 
 
 class TestPolynomialStr:
