@@ -10,9 +10,11 @@ coefficient n!/2**(n-1). Two independent constructions are provided:
 * construct_bell_polynomial assembles the polynomial from the
   first-difference identity
 
-      B(n, m) - B(n, m-1) = sum(B(k, m-1) * S(n, k) for k in 1..n-1)
+      B(n, m+1) - B(n, m) = D(m) = sum(S(n, k) * B(k, m) for k in 1..n-1)
 
-  by telescoping the differences into power sums.
+  by telescoping the differences into power sums. D is the
+  Stirling-weighted sum of the lower levels as they are, so no level
+  is ever shifted.
 
 The two must agree coefficient for coefficient; any mismatch raises
 ConsistencyError rather than being silently ignored.
@@ -125,27 +127,17 @@ def _fit_bell_polynomial(n: int) -> BellPolynomial:
     return BellPolynomial(n, poly)
 
 
-def difference_polynomial(
-    n: int, lower: Sequence[BellPolynomial]
-) -> RationalPolynomial:
-    """The polynomial d with d(m) = B(n, m) - B(n, m-1), for n >= 2.
+def _forward_difference(n: int, lower: Sequence[BellPolynomial]) -> RationalPolynomial:
+    """D(m) = B(n, m+1) - B(n, m) = sum(S(n, k) * B(k, m) for k in 1..n-1).
 
-    By the Stirling recursion the difference equals
-    sum(B(k, m-1) * S(n, k) for k in 1..n-1). Shifting is linear, so
-    the Stirling-weighted sum of the unshifted Bell polynomials is
-    taken first and then shifted once, by -1, and re-expanded in m.
-    `lower` must hold the Bell polynomials for 1..n-1 in order. d has
+    `lower` holds the Bell polynomials for 1..n-1 in order. D has
     degree n-2 and a positive leading coefficient; anything else raises
     ConsistencyError.
     """
-    if n < 2:
-        raise ValueError("difference polynomials are defined for n >= 2")
-    if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
-        raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
     weights = stirling_row(n)
     total = RationalPolynomial.linear_combination(
         [(weights[k], lower[k - 1].poly) for k in range(1, n)]
-    ).shift(-1)
+    )
     if total.degree != n - 2 or total.numerators[-1] <= 0:
         raise ConsistencyError(
             f"difference polynomial for n={n} has degree {total.degree} "
@@ -154,19 +146,39 @@ def difference_polynomial(
     return total
 
 
+def difference_polynomial(
+    n: int, lower: Sequence[BellPolynomial]
+) -> RationalPolynomial:
+    """The polynomial d with d(m) = B(n, m) - B(n, m-1), for n >= 2.
+
+    By the Stirling recursion d(m) = D(m-1), where D is the forward
+    difference sum(S(n, k) * B(k, m) for k in 1..n-1) of the unshifted
+    lower levels, so d is D shifted once by -1. `lower` must hold the
+    Bell polynomials for 1..n-1 in order. d has degree n-2 and a
+    positive leading coefficient; anything else raises
+    ConsistencyError.
+    """
+    if n < 2:
+        raise ValueError("difference polynomials are defined for n >= 2")
+    if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
+        raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
+    return _forward_difference(n, lower).shift(-1)
+
+
 def construct_bell_polynomial(n: int) -> BellPolynomial:
     """Build the Bell polynomial from differences and power sums.
 
-    Bottom-up over j = 1..n: summing d(k) = B(j, k) - B(j, k-1) over
-    k = 1..m telescopes to B(j, m) - 1, so with d's coefficients d_r,
+    Bottom-up over j = 1..n. With D(m) = B(j, m+1) - B(j, m), the
+    Stirling-weighted sum of the unshifted lower levels, and B(j, 0) = 1,
 
-        B(j, m) = 1 + sum(d_r * P_r(m) for r in 0..j-2),
+        B(j, m) = 1 + sum(D(i) for i in 0..m-1)
+                = 1 + D(0) + sum(D_r * P_r(m) for r in 0..j-2) - D(m),
 
-    where P_r is the power-sum polynomial. The sum runs in integers:
-    d's integer numerators weight the P_r over d's one denominator.
-    Each difference is shifted once and each P_r is built once, so one
-    call makes n-1 shifts. Every level is checked against the
-    interpolation route; any coefficient mismatch raises
+    where D_r are D's coefficients and P_r(m) = sum(k**r for k in 1..m)
+    is the power-sum polynomial. The sum runs in integers: D's integer
+    numerators weight the P_r over D's one denominator. Each P_r is
+    built once and no level is shifted. Every level is checked against
+    the interpolation route; any coefficient mismatch raises
     ConsistencyError.
     """
     if n < 0:
@@ -180,10 +192,10 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
             poly = _ONE  # B(1, m) = 1
         else:
             power_sums.append(faulhaber_polynomial(j - 2))
-            diff = difference_polynomial(j, levels)
-            den = diff.denominator  # d_r = diff.numerators[r] / den
+            diff = _forward_difference(j, levels)
+            den, nums = diff.denominator, diff.numerators  # D_r = nums[r] / den
             poly = RationalPolynomial.linear_combination(
-                [(den, _ONE), *zip(diff.numerators, power_sums)], den
+                [(den + nums[0], _ONE), *zip(nums, power_sums), (-den, diff)], den
             )
         reference = interpolate_bell_polynomial(j)
         if poly != reference.poly:

@@ -9,6 +9,8 @@ gets it from `Record`.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Base for small immutable records, compared by their fields.
@@ -26,13 +28,20 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # attrgetter is a builtin, which does not bind as a method. It
+        # returns the one value itself for a one-field record.
+        cls._get = staticmethod(attrgetter(*cls._fields))
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        values = self._get(self)
+        return (values,) if len(self._fields) == 1 else values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._get(self) == self._get(other)
 
     def __hash__(self):
         return hash(self._values())

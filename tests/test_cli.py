@@ -1,5 +1,6 @@
 """The `bell` command line: outputs, exit codes, byte stability."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -27,6 +28,67 @@ GOLDEN_TABLE = (
     "4\t1\t5\t35\t315\t3455\t44590\t660665\t11035095\n"
     "5\t1\t6\t51\t561\t7556\t120196\t2201856\t45592666\n"
 )
+
+
+# SHA-256 of the stdout of `bell ARGS`, pinned when the polynomial route
+# still shifted every difference; any change to the arithmetic or the
+# rendering behind these outputs must leave them byte for byte the same.
+OUTPUT_SHA256 = {
+    "poly --n 1 --format tsv": "27bb48da10048790ac0e64e21c03d06731a9c8272dc38c5ffa6c9a24fbb289e0",
+    "asympt --n 1 --m 1000 --digits 40 --format tsv": "5b3394128d88a5dbd15308c3b26eceb213e27f5ae6d0a55f35fee831c23b64a8",
+    "poly --n 1 --format json": "71d8076a29ee0b10de8697ec8238ca8f37759e5a747c750698f5d2f456083cea",
+    "asympt --n 1 --m 1000 --digits 40 --format json": "ee0d242f638396df5ff0e52167c9d4ac79bee44dfdd13129aea78a77b44185a9",
+    "poly --n 1 --format markdown": "941e0a0e7221e936473f7b2ade0483638f90f96322d545de3c6e1d97aa2468ed",
+    "asympt --n 1 --m 1000 --digits 40 --format markdown": "4068f89d975206e7e2eb57a7c5fe3d614407356ee066085b14e41715561e116a",
+    "poly --n 2 --format tsv": "cab6a77652bced105b2cd93851dc75f0dfdc75e96d277923e3fff0bd232c24c6",
+    "asympt --n 2 --m 1000 --digits 40 --format tsv": "f7ca14c50ae13b0832f146a147fbda8debce7983663796bc6b34c121ebbec533",
+    "poly --n 2 --format json": "9e49d00172a084c349fd3b43b1f9841e2564cb4f7d2ecc39231444508a9f02b9",
+    "asympt --n 2 --m 1000 --digits 40 --format json": "4dac1b522c0eaed87ca6a3fb30c7497aa31dff7037efccdce330282b7359020e",
+    "poly --n 2 --format markdown": "caf62348f643812a53056b554e9068835cdb24a48bade7821edaaae360f265dd",
+    "asympt --n 2 --m 1000 --digits 40 --format markdown": "6a931415181b60b0588b267a37c62d163a457b8c9c77264df9ee190b5bffa155",
+    "poly --n 3 --format tsv": "d9863613b5e60db721ec53f195a7864a99c876e71ad48be85d8caae28c61c07c",
+    "asympt --n 3 --m 1000 --digits 40 --format tsv": "cd46afb6b8b5ef5ba216945e00e66b2684709a16f1a13223d3583a05c90d6887",
+    "poly --n 3 --format json": "503447c6d6c37baab4985cf436aaa49bf8f879f7f86739434198f0142c59b778",
+    "asympt --n 3 --m 1000 --digits 40 --format json": "9dcff88ad66125b24964e98b77af70234c851e88e24551dce93bbde8953ba8b9",
+    "poly --n 3 --format markdown": "5a2f9ef2dc6133d2eeac220968ea3912187447d5093c082d3186c208bae041ad",
+    "asympt --n 3 --m 1000 --digits 40 --format markdown": "5bf221429fdd69519ad93649a678e63d25e01b2d544e852e119e4a03d453509f",
+    "poly --n 5 --format tsv": "f95712669fc174b559cc6055f98550e9e18e2d3195866e5b2354a2249d1a2404",
+    "asympt --n 5 --m 1000 --digits 40 --format tsv": "65118e6ea02920f04bdef52c8c828c2c11510dd7ecb103517d35d95f8d3ffedf",
+    "poly --n 5 --format json": "e4dfcb9e0afac8b9dad246a1f127d3cfb8742ef5f6913891e62146902aa31f08",
+    "asympt --n 5 --m 1000 --digits 40 --format json": "acc39e1a07a80c740cef37b84b9bc17bf6b99a8866dbe75d019cab9d20d1f8d4",
+    "poly --n 5 --format markdown": "a037576cda23e678c72c9c87bc82a116911081b871883c6c9fd19dc6a6685ccc",
+    "asympt --n 5 --m 1000 --digits 40 --format markdown": "5f888df47d98c8bd3b8a3aaf9aa5e8d5f65e8b4fcb47f43128d1be8cf70f41dc",
+    "poly --n 8 --format tsv": "337f91baab4d709465ce4280c258bba1d910573f3f53ce99f64a979255b54909",
+    "asympt --n 8 --m 1000 --digits 40 --format tsv": "4bbb30414712daf463b3f13e21f879a078f7626dbee8d99e4baee130b44ef264",
+    "poly --n 8 --format json": "26f61dd82071f169c9dee4e3ec587fc630ee442c638247caac7ba9d24b3fa091",
+    "asympt --n 8 --m 1000 --digits 40 --format json": "31f7f32a339621ca6fdf1a2ba6b6529a68f77cba114fa8af14d8aa30200fd8d2",
+    "poly --n 8 --format markdown": "81ac964a99dc89cbea1b552cb71fa3afffcf6cdb96b635d1a3beb5d1630c7995",
+    "asympt --n 8 --m 1000 --digits 40 --format markdown": "141ede62ffabfd367154dee2d1efc0001f010895c89a58f242546891060f8b9d",
+    "poly --n 13 --format tsv": "6b10abcb335b0d5af98f905808e44b44f41d5b3fbd1179ef8df789efe50ae925",
+    "asympt --n 13 --m 1000 --digits 40 --format tsv": "069842d953b8921e0e0d931d190c16674a81495e1d89edf77ce99f2a63df6321",
+    "poly --n 13 --format json": "ba7ec0139ea423d84c135e3663a7de8dae2727c368465e58b4e89b1c4378c794",
+    "asympt --n 13 --m 1000 --digits 40 --format json": "8c2591082899e143530157939cb7a815972908fc386401953b32d18c2d47eb39",
+    "poly --n 13 --format markdown": "8d98adcde65b23466ebbb84bdbf5f8623d2ac63187aab919fa40181ec462a664",
+    "asympt --n 13 --m 1000 --digits 40 --format markdown": "01cc03ce503b852d04db6531e321cf556923986e7d8a0d17059152b296db5798",
+    "poly --n 20 --format tsv": "05fedbe89f5ae70c12f4abc61273d494235f31cd2e5cb767e8da44581c9f8fa2",
+    "asympt --n 20 --m 1000 --digits 40 --format tsv": "fe583b23d810b337584177d9a288838acfe423ffc97fc8bd60c2501c39ad330e",
+    "poly --n 20 --format json": "cf258bd0adb8619cea5e325ef03f0bc8a75f8a02b388fdd4b38a86f64e9c120b",
+    "asympt --n 20 --m 1000 --digits 40 --format json": "f5464efbc2a7536babc32a9dfe4f1e666d074dd84c9a1803f21851a988eca52c",
+    "poly --n 20 --format markdown": "ed8298fe5fa20a832709a504c03f2cfcd06443f7457bc24fb11483c333d935fd",
+    "asympt --n 20 --m 1000 --digits 40 --format markdown": "dfc339c7077e6803ce80836c7ba3f5117694381a64e461a7d6d97f43c0fd398d",
+    "poly --n 40 --format tsv": "0e4a45b2fc206034fd2e9eae9a68854f40388b036b903239024188655e36a7cd",
+    "asympt --n 40 --m 1000 --digits 40 --format tsv": "9aa51750e93fda96b9f8968fac908d5c8a2e1e21515ff31156fadea9c2498d45",
+    "poly --n 40 --format json": "f715764deec83b00cfe0cd2631664dce5e8d187d074d9d00e0a7f9391b1f756c",
+    "asympt --n 40 --m 1000 --digits 40 --format json": "fa7fceb4ae51eeb16e06d767ee9273016ce079990d61471aa57044729ba7ee37",
+    "poly --n 40 --format markdown": "c4c8e5c4b3ba021e2db399fac9c2584a8644268564268014ff0ac39fd2dd6fbd",
+    "asympt --n 40 --m 1000 --digits 40 --format markdown": "d3fe9a799a631d33c3a7e56ead0b35f556a1d856e11fcce9423ac11f18813d50",
+    "poly --n 64 --format tsv": "722f55282e22b4e4d16d2b2b4f8a43d6479a8af791fbdedcd0e438cda87f2a60",
+    "asympt --n 64 --m 1000 --digits 40 --format tsv": "c42a66ac59d64fb663ba68258dbd5cccce61e85786e27f664968396b33fa4b5c",
+    "poly --n 64 --format json": "140ea0aaf5bada25d645883c56705c2e6f0415f2b9698c6bee70787fa6b0ede9",
+    "asympt --n 64 --m 1000 --digits 40 --format json": "5810c7af75d3f6017b608b37dc4957d52178617e89521df3b0c7feff7c48371d",
+    "poly --n 64 --format markdown": "74ff70cb3575fb4874dcdecbd3aa5a3856566027818c73dc0779eb3fb6e1cdb0",
+    "asympt --n 64 --m 1000 --digits 40 --format markdown": "2e4c1121018de9ed4a46c26b20d4bcc24b81e7f4ce2d1a63f6c30ca3dfcc9552",
+}
 
 
 def run_cli(argv):
@@ -339,6 +401,12 @@ class TestByteStability:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip().endswith("invariants hold")
+
+    @pytest.mark.parametrize("args", OUTPUT_SHA256)
+    def test_output_matches_pinned_hash(self, args):
+        rc, out = run_cli(args.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[args]
 
 
 def readme_cli_examples():

@@ -489,7 +489,7 @@ class TestConstruction:
         assert construct_bell_polynomial(4).poly.evaluate(5) == 561
 
     @pytest.mark.parametrize("n", [9, 18])
-    def test_shifts_each_lower_level_once(self, n, monkeypatch):
+    def test_makes_no_shift(self, n, monkeypatch):
         calls = []
         real = RationalPolynomial.shift
 
@@ -499,7 +499,20 @@ class TestConstruction:
 
         monkeypatch.setattr(RationalPolynomial, "shift", counted)
         construct_bell_polynomial(n)
-        assert calls == [-1] * (n - 1)
+        assert calls == []
+
+    def test_subleading_coefficient_closed_form(self):
+        # The m^(n-2) coefficient is b_n = a_n (n-1)(4 - H_{n-1})/3, with
+        # a_n = n!/2^(n-1) and H the harmonic numbers: it turns negative
+        # once H_{n-1} passes 4.
+        subleading = {}
+        for n in range(2, 41):
+            harmonic = sum(Fraction(1, k) for k in range(1, n))
+            b = Fraction(factorial(n), 2 ** (n - 1)) * (n - 1) * (4 - harmonic) / 3
+            assert construct_bell_polynomial(n).poly.coefficient(n - 2) == b
+            assert interpolate_bell_polynomial(n).poly.coefficient(n - 2) == b
+            subleading[n] = b
+        assert subleading[31] > 0 > subleading[32]
 
     def test_matches_fraction_telescoping_reference(self):
         reference = fraction_telescoping(40)
