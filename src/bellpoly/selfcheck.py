@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 import sys
+import time
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -297,10 +298,15 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 
 
 def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
-    """Run every check, print one line per check, return 0 or 1."""
+    """Run every check, print one line per check, return 0 or 1.
+
+    Each check's wall time goes to stderr, one line per check in order,
+    so that the report itself stays byte-stable.
+    """
     out = stream if stream is not None else sys.stdout
     failures: list[str] = []
     for name, check in CHECKS:
+        start = time.perf_counter()
         try:
             check()
         except Exception as exc:
@@ -308,6 +314,8 @@ def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
             print(f"FAIL {name}: {exc}", file=out)
         else:
             print(f"ok   {name}", file=out)
+        finally:
+            print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
     if failures:
         print(
             f"selfcheck: {len(failures)} of {len(CHECKS)} invariants failed; "

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bellpoly
 import bellpoly.bell_numbers
@@ -18,6 +22,7 @@ import bellpoly.polynomial
 import bellpoly.selfcheck
 from bellpoly.cli import main
 from bellpoly.rational_poly import RationalPolynomial
+from bellpoly.rendering import FORMATS, METHODS
 from bellpoly.selfcheck import run_selfcheck
 
 GOLDEN_TABLE = (
@@ -89,6 +94,39 @@ OUTPUT_SHA256 = {
     "poly --n 64 --format markdown": "74ff70cb3575fb4874dcdecbd3aa5a3856566027818c73dc0779eb3fb6e1cdb0",
     "asympt --n 64 --m 1000 --digits 40 --format markdown": "2e4c1121018de9ed4a46c26b20d4bcc24b81e7f4ce2d1a63f6c30ca3dfcc9552",
 }
+
+# SHA-256 of stdout + stderr of `bell ARGS` with COLUMNS=80, and its exit
+# code, pinned on Python 3.11 while argparse still parsed every argv: help
+# and usage errors must keep every byte. argparse's own wording varies
+# between Python versions, so the pins are checked on 3.11 only.
+HELP_AND_ERROR_SHA256 = {
+    "--help": (0, "f70292b2a492f8bec09cadfb439415416ea23a190a73b7914c9b2efd6aa00071"),
+    "table --help": (0, "4887302a32890c98fe2d6e34dbef7dac04247f64fd11637d941ab776776fe531"),
+    "value --help": (0, "aa69dcc8345e5cbe6fbdb84c853ed37ababa5148f4c6cc532a40d4d116151634"),
+    "poly --help": (0, "1c2ad9bb73c250c1820842465e687f130c10f84b0331fc7ee781a12f0e7a8afc"),
+    "asympt --help": (0, "1756c0553abe2546725123c9b0ea4c38137023b2e7be88eb4ddd5f3c0d6cdd7c"),
+    "selfcheck --help": (0, "6008dd17078b9689f29fa65837fc3704454204f40c59b8a0e160be5580508982"),
+    "frobnicate": (2, "62fb8925e254ba4007c8c7e0ef500eb322b5771f6ba81031688cfb6e627d431d"),
+    "value --n 3 --m 2 --method float64":
+        (2, "0a7b28c13cbdd4440800827eb0962fa48a10422cc592521f45b1c1087702c6c5"),
+    "table --n-max 0": (2, "1a18dabfc0f05f773efa57c3b59f0825c8e37e85356f946910d319d3632bb509"),
+    "table --m-max -2": (2, "1a18dabfc0f05f773efa57c3b59f0825c8e37e85356f946910d319d3632bb509"),
+    "value --n -1 --m 2": (2, "9945adaff5df4bbaae934ac13b8a9e24d77ef56578ce32befe89d9a24ca25925"),
+    "asympt --n 3 --m 0": (2, "94a0ac969848692953a1601b5ac797c94f92c28b7b9b8175e88143c4699353ed"),
+    "asympt --n 3 --m 5 --digits -1":
+        (2, "459045c2b2bf25903aae6354e904341a49e5d17173abaabb0f38dd0a5188b9c4"),
+    "poly": (2, "81af06a4c4f137bfb50ee929b4ac1551b016e164d81f10c8789c943ab89e750f"),
+    "": (2, "c25be32f7a12d0dd58d7190c1916bec5ef63d1d70d891e239673ad1a3154cae8"),
+    "value --n x --m 1": (2, "039db5fa56317e665be8e4e3c8e0cdece2d9439f1d2eb8e9fdd08129015adb8c"),
+    "value --n 3 --m 2 extra": (2, "99074f31e14d6c96cef7c3c29f1cbd716d610376d57ee9aef6ad5dcd025d6a38"),
+    "value --n 64 --m 119 --method egf":
+        (2, "858cbeaf642c7345ca589dda8d6593eef2c77f1ef0af5f95f397dbe294ebaac1"),
+    "table --n-max 10 --m-max 10001":
+        (2, "736371e3f2235eda437055416ad491fb4bf12c455cbb9af4efddeaee032001ce"),
+    "poly --n 0": (2, "d6c9a5f259dc371406d647ee23a6839a06c893bfb105be913e1723c79f68de8d"),
+}
+
+SRC = str(Path(bellpoly.__file__).parent.parent)
 
 
 def run_cli(argv):
@@ -378,14 +416,138 @@ class TestWorkLimits:
     def test_cold_import_skips_unused_modules_and_loads_every_layer(self):
         # -S keeps site hooks from importing anything before bellpoly does.
         code = "import sys, bellpoly.cli; print(' '.join(sys.modules))"
-        env = {"PYTHONPATH": str(Path(bellpoly.__file__).parent.parent)}
+        env = {"PYTHONPATH": SRC}
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=env, check=True)
         loaded = set(proc.stdout.split())
-        assert not loaded & {"dataclasses", "inspect", "json", "typing"}
+        assert not loaded & {"argparse", "dataclasses", "gettext", "inspect", "json", "typing"}
         layers = ("bell_numbers", "polynomial", "rational_poly", "combinatorics",
                   "rendering", "oracles", "selfcheck", "cli")
         assert {f"bellpoly.{layer}" for layer in layers} <= loaded
+
+    def test_plain_request_never_imports_argparse(self):
+        cmd = [sys.executable, "-S", "-X", "importtime", "-m", "bellpoly",
+               "value", "--n", "3", "--m", "2"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env={"PYTHONPATH": SRC},
+                              check=True)
+        assert proc.stdout == "12\n"
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "bellpoly.cli" in imported
+        assert not imported & {"argparse", "gettext"}
+
+
+def argparse_outcome(argv):
+    """("ok", vars of argparse's namespace) or ("exit", code, stdout + stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return ("ok", vars(bellpoly.cli._build_parser().parse_args(argv)))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue() + err.getvalue())
+
+
+OPTION_NAMES = sorted({name for _, options in bellpoly.cli.COMMANDS.values()
+                       for name, *_ in options})
+NEAR_MISSES = st.one_of(
+    st.sampled_from([*OPTION_NAMES, "--n", "--m", "--form", "--meth", "--dig", "--allow", "-n",
+                     "-h", "--help", "--", "extra", "", "frobnicate"]),
+    st.sampled_from([*FORMATS, *METHODS, "float64", "x", " 7", "+5", "1_0", "-1_0", "-1",
+                     "9" * 4301]),
+    st.integers(-3, 70).map(str),
+    st.builds("{}={}".format, st.sampled_from(OPTION_NAMES), st.sampled_from(["3", "json", "x"])),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command and its options in any order, some repeated and some with bad values,
+    then up to two edits: a near miss inserted or swapped in, or a token dropped."""
+    command = draw(st.sampled_from([*bellpoly.cli.COMMANDS, "frobnicate"]))
+    pairs = []
+    for name, kind, default, _ in bellpoly.cli.COMMANDS.get(command, ("", ()))[1]:
+        for _ in range(draw(st.integers(int(default is bellpoly.cli.REQUIRED), 2))):
+            if kind is bool:
+                pairs.append([name])
+            else:
+                values = st.integers(0, 70).map(str) if kind is int else st.sampled_from(kind)
+                pairs.append([name, draw(values if draw(st.integers(0, 5)) else NEAR_MISSES)])
+    argv = [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, edit = draw(st.integers(0, len(argv))), draw(st.sampled_from("ird"))
+        if edit == "i":
+            argv.insert(i, draw(NEAR_MISSES))
+        elif i < len(argv) and edit == "r":
+            argv[i] = draw(NEAR_MISSES)
+        elif i < len(argv):
+            del argv[i]
+    return argv
+
+
+class TestArgvParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    @example([])
+    @example(["value", "--n", "-1_0", "--m", "2"])  # int() takes it; argparse reads an option
+    def test_plain_parse_agrees_with_argparse(self, argv):
+        expected = argparse_outcome(argv)
+        plain = bellpoly.cli._parse_plain(argv)
+        if plain is not None:
+            assert expected == ("ok", vars(plain))
+        if expected[0] == "exit":
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.raises(SystemExit) as exc:
+                with redirect_stdout(out), redirect_stderr(err):
+                    main(argv)
+            assert ("exit", exc.value.code, out.getvalue() + err.getvalue()) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["table"],
+        ["value", "--n", "18", "--m", "64", "--method", "egf", "--format", "json"],
+        ["poly", "--n", "0", "--allow-zero", "--format", "tsv", "--n", "3"],
+        ["asympt", "--n", "3", "--m", "1000", "--digits", "40", "--format", "markdown"],
+        ["selfcheck"],
+    ])
+    def test_plain_argv_is_parsed_without_argparse(self, argv):
+        plain = bellpoly.cli._parse_plain(argv)
+        assert plain is not None
+        assert argparse_outcome(argv) == ("ok", vars(plain))
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11")
+    @pytest.mark.parametrize("args", HELP_AND_ERROR_SHA256)
+    def test_help_and_usage_errors_are_byte_identical(self, monkeypatch, args):
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            with redirect_stdout(out), redirect_stderr(err):
+                main(args.split())
+        digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
+        assert (exc.value.code, digest) == HELP_AND_ERROR_SHA256[args]
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early gets exit 141, as from SIGPIPE, and no traceback."""
+
+    @staticmethod
+    def run_until_closed(args, lines_read):
+        # Unbuffered, so that each selfcheck line reaches the reader on its own.
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen([sys.executable, "-m", "bellpoly", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with proc:
+            for _ in range(lines_read):
+                assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        return proc.returncode, err
+
+    def test_stdout_closed_before_the_write(self):
+        assert self.run_until_closed(["poly", "--n", "20"], 0) == (141, "")
+
+    def test_stdout_closed_after_the_first_line(self):
+        rc, err = self.run_until_closed(["selfcheck"], 1)
+        assert rc == 141
+        assert "Traceback" not in err
 
 
 class TestByteStability:
@@ -401,6 +563,15 @@ class TestByteStability:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip().endswith("invariants hold")
+
+    def test_selfcheck_times_each_check_on_stderr(self):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stderr(err):
+            assert run_selfcheck(stream=out) == 0
+        assert all(line.startswith("ok   ") for line in out.getvalue().splitlines()[:-1])
+        timed = [re.fullmatch(r" *\d+\.\d ms  (.+)", line) for line in err.getvalue().splitlines()]
+        assert all(timed)
+        assert [match[1] for match in timed] == [name for name, _ in bellpoly.selfcheck.CHECKS]
 
     @pytest.mark.parametrize("args", OUTPUT_SHA256)
     def test_output_matches_pinned_hash(self, args):
