@@ -86,9 +86,9 @@ def clear_caches() -> None:
     `stirling_row`, the binomial rows that weight each `egf_iterate`
     step, the Bernoulli numbers, the Faulhaber polynomials behind
     `faulhaber_polynomial`, the recursion's grid of B(n, m), and the
-    checked fits that `interpolate_bell_polynomial` stores per n. Each
-    stays the same object; a call already running finishes on the
-    entries it started with.
+    checked fits that `interpolate_bell_polynomial` stores in order of
+    n. Each stays the same object; a call already running finishes on
+    the entries it started with.
     """
     for table in _TABLES.values():
         table.clear()

@@ -3,8 +3,9 @@
 Subcommands: table, value, poly, asympt, selfcheck. Exit code 0 on
 success, 1 when a selfcheck invariant or an internal cross-check fails,
 2 on usage errors (argparse's convention), which include inputs past
-the work limits below, and 141 (128 + SIGPIPE) when the reader closes
-stdout early.
+the work limits below, 130 (128 + SIGINT) with one `bell: interrupted`
+line on stderr when interrupted, and 141 (128 + SIGPIPE) when the
+reader closes stdout early, buffered or not.
 
 Every option is declared once, in `COMMANDS`. A plain argv (a command,
 then exact long options each with a valid value) is read straight from
@@ -193,7 +194,16 @@ def _answer(args) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
-    sys.stdout.write(text)
+    out = sys.stdout
+    if not hasattr(out, "buffer"):  # a text stream only, as under redirect_stdout(StringIO())
+        out.write(text)
+        return 0
+    # Unbuffered (python -u), a closed pipe cuts one raw write short with
+    # no error, so the bytes go out in a loop until a write fails.
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[out.buffer.write(data):]
     return 0
 
 
@@ -206,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rc = run_selfcheck() if args.command == "selfcheck" else _answer(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except KeyboardInterrupt:
+        print("bell: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         try:
             fd = sys.stdout.fileno()

@@ -10,9 +10,6 @@ from fractions import Fraction
 
 from .bell_numbers import TruncatedEGF
 
-_PARTITION_COUNTS: dict[int, tuple[int, ...]] = {}
-
-
 def partition_block_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of partitions of an n-set into exactly k blocks.
 
@@ -20,15 +17,12 @@ def partition_block_counts(n: int) -> tuple[int, ...]:
     restricted-growth string: each element either joins an existing
     block or opens a new one. The last element's choices are counted at
     once: it joins one of the open blocks or opens its own. Shares
-    nothing with the Stirling triangle it is used to check. Results are
-    cached per n; the n = 12 run walks the 678,570 partitions of 11
-    elements.
+    nothing with the Stirling triangle it is used to check, and keeps
+    nothing between calls; the n = 12 run walks the 678,570 partitions
+    of 11 elements.
     """
     if n < 0:
         raise ValueError("set size must be non-negative")
-    cached = _PARTITION_COUNTS.get(n)
-    if cached is not None:
-        return cached
     counts = [0] * (n + 1)
     if n <= 1:
         counts[n] = 1  # the empty partition, or the one block {1}
@@ -44,9 +38,7 @@ def partition_block_counts(n: int) -> tuple[int, ...]:
             descend(i + 1, blocks + 1)  # element i opens a new block
 
         descend(1, 1)
-    result = tuple(counts)
-    _PARTITION_COUNTS[n] = result
-    return result
+    return tuple(counts)
 
 
 def egf_step_rational(series: TruncatedEGF) -> TruncatedEGF:

@@ -300,8 +300,8 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
     """Run every check, print one line per check, return 0 or 1.
 
-    Each check's wall time goes to stderr, one line per check in order,
-    so that the report itself stays byte-stable.
+    Each check's wall time goes to stderr, one line per finished check
+    in order, so that the report itself stays byte-stable.
     """
     out = stream if stream is not None else sys.stdout
     failures: list[str] = []
@@ -314,8 +314,7 @@ def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
             print(f"FAIL {name}: {exc}", file=out)
         else:
             print(f"ok   {name}", file=out)
-        finally:
-            print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
+        print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
     if failures:
         print(
             f"selfcheck: {len(failures)} of {len(CHECKS)} invariants failed; "

@@ -355,6 +355,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+class TestInterrupt:
+    """An interrupted run exits 130 with one stderr line, as from SIGINT, and no traceback."""
+
+    @staticmethod
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    def test_interrupted_request(self, monkeypatch, capsys):
+        monkeypatch.setattr(bellpoly.cli, "render_value", self.interrupt)
+        assert main(["value", "--n", "3", "--m", "2"]) == 130
+        assert capsys.readouterr() == ("", "bell: interrupted\n")
+
+    def test_interrupted_selfcheck(self, monkeypatch, capsys):
+        checks = (("interrupted", self.interrupt), *bellpoly.selfcheck.CHECKS)
+        monkeypatch.setattr(bellpoly.selfcheck, "CHECKS", checks)
+        assert main(["selfcheck"]) == 130
+        assert capsys.readouterr() == ("", "bell: interrupted\n")
+
+
 class TestWorkLimits:
     RENDERERS = ("render_table", "render_value", "render_poly", "render_asympt")
 
@@ -529,9 +548,9 @@ class TestBrokenPipe:
     """A reader that closes stdout early gets exit 141, as from SIGPIPE, and no traceback."""
 
     @staticmethod
-    def run_until_closed(args, lines_read):
-        # Unbuffered, so that each selfcheck line reaches the reader on its own.
-        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    def run_until_closed(args, lines_read, unbuffered="1"):
+        # Unbuffered by default, so that each selfcheck line reaches the reader on its own.
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
         proc = subprocess.Popen([sys.executable, "-m", "bellpoly", *args], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         with proc:
@@ -548,6 +567,13 @@ class TestBrokenPipe:
         rc, err = self.run_until_closed(["selfcheck"], 1)
         assert rc == 141
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_during_a_long_write(self, unbuffered):
+        # Several pipe buffers of output: unbuffered, the first raw write
+        # is cut short when the reader closes, and the rest must still fail.
+        args = ["table", "--n-max", "40", "--m-max", "200"]
+        assert self.run_until_closed(args, 1, unbuffered) == (141, "")
 
 
 class TestByteStability:

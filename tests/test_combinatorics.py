@@ -1,5 +1,6 @@
 """Combinatorial primitives against independent oracles and known values."""
 
+import io
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellpoly.cli
 from bellpoly import (
     bell_numbers,
     bell_via_egf,
@@ -26,6 +28,7 @@ from bellpoly import (
     stirling_row,
 )
 from bellpoly.rational_poly import RationalPolynomial
+from bellpoly.selfcheck import run_selfcheck
 
 
 class TestStirling:
@@ -192,6 +195,35 @@ def test_cache_info_counts_every_table():
     assert all(now is before for now, before in zip(module_tables(), tables))
     assert sorted(cache_info()) == keys
     assert set(cache_info().values()) == {0}
+
+
+def module_containers():
+    """The length of each module-level list, dict and set in the package.
+
+    Tables registered in bellpoly._TABLES are left out, so only a cache
+    kept outside them shows here.
+    """
+    tables = [id(table) for table in bellpoly._TABLES.values()]
+    return {
+        (module_name, name): len(value)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "bellpoly" or module_name.startswith("bellpoly.")
+        for name, value in vars(module).items()
+        if isinstance(value, (list, dict, set)) and not name.startswith("__")
+        and id(value) not in tables
+    }
+
+
+def test_every_cache_is_a_registered_table():
+    clear_caches()
+    before = module_containers()
+    assert run_selfcheck(stream=io.StringIO()) == 0
+    construct_bell_polynomial(12)
+    bell_via_egf(10, 5)
+    grown = {key: (before.get(key), size) for key, size in module_containers().items()
+             if size != before.get(key)}
+    assert grown == {}
+    clear_caches()
 
 
 def test_clear_caches_while_tables_fill():

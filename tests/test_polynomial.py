@@ -374,7 +374,15 @@ class TestInterpolationTable:
         clear_caches()
         first = interpolate_bell_polynomial(9)
         assert interpolate_bell_polynomial(9) is first
-        assert bellpoly.cache_info()["interpolated_polynomials"] == 1
+        assert bellpoly.cache_info()["interpolated_polynomials"] == 9
+
+    def test_cold_call_stores_every_lower_fit_in_order(self):
+        clear_caches()
+        interpolate_bell_polynomial(9)
+        stored = list(bellpoly.polynomial._FITS._entries)
+        assert [fit.n for fit in stored] == list(range(1, 10))
+        assert all(fit is interpolate_bell_polynomial(fit.n) for fit in stored)
+        assert bellpoly.cache_info()["interpolated_polynomials"] == 9
 
     def test_failed_fit_stores_nothing(self, monkeypatch):
         real = bell_via_recursion
@@ -388,7 +396,7 @@ class TestInterpolationTable:
         try:
             with pytest.raises(ConsistencyError, match=r"interpolation for n=6"):
                 interpolate_bell_polynomial(6)
-            assert bellpoly.cache_info()["interpolated_polynomials"] == 0
+            assert bellpoly.cache_info()["interpolated_polynomials"] == 5
             monkeypatch.undo()
             assert interpolate_bell_polynomial(6).poly.coefficients == (
                 falling_factorial_interpolation(6)
