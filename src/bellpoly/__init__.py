@@ -84,11 +84,11 @@ def clear_caches() -> None:
 
     The tables are the Stirling rows behind `stirling2` and
     `stirling_row`, the binomial rows that weight each `egf_iterate`
-    step, the Bernoulli numbers, the Faulhaber polynomials behind
-    `faulhaber_polynomial`, the recursion's grid of B(n, m), and the
-    checked fits that `interpolate_bell_polynomial` stores in order of
-    n. Each stays the same object; a call already running finishes on
-    the entries it started with.
+    step, the Faulhaber polynomials behind `faulhaber_polynomial`, the
+    Bernoulli numbers read off them, the recursion's grid of B(n, m),
+    and the checked fits that `interpolate_bell_polynomial` stores in
+    order of n. Each stays the same object; a call already running
+    finishes on the entries it started with.
     """
     for table in _TABLES.values():
         table.clear()

@@ -4,8 +4,10 @@ Subcommands: table, value, poly, asympt, selfcheck. Exit code 0 on
 success, 1 when a selfcheck invariant or an internal cross-check fails,
 2 on usage errors (argparse's convention), which include inputs past
 the work limits below, 130 (128 + SIGINT) with one `bell: interrupted`
-line on stderr when interrupted, and 141 (128 + SIGPIPE) when the
-reader closes stdout early, buffered or not.
+line on stderr when interrupted, 141 (128 + SIGPIPE) when the reader
+closes stdout early, buffered or not, and 74 (EX_IOERR) with one
+`bell: cannot write to stdout: ...` line on stderr when stdout is
+closed or any other write to it fails.
 
 Every option is declared once, in `COMMANDS`. A plain argv (a command,
 then exact long options each with a valid value) is read straight from
@@ -15,6 +17,7 @@ usage errors, and the spellings only it accepts.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -214,22 +217,27 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:  # started with stdout closed, as by `>&-`
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         rc = run_selfcheck() if args.command == "selfcheck" else _answer(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except KeyboardInterrupt:
         print("bell: interrupted", file=sys.stderr)
         return 130
-    except BrokenPipeError:
+    except OSError as exc:  # only writes to stdout raise it
         try:
             fd = sys.stdout.fileno()
-        except OSError:
+        except (AttributeError, OSError):
             pass
         else:
             # The interpreter's final flush would raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"bell: cannot write to stdout: {exc}", file=sys.stderr)
+        return 74
     return rc
 
 

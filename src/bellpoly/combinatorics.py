@@ -1,7 +1,7 @@
 """Exact combinatorial building blocks.
 
-Stirling numbers of the second kind, Bernoulli numbers, and the
-closed-form polynomials for the power sums 1**r + 2**r + ... + m**r.
+Stirling numbers of the second kind, the polynomials for the power
+sums 1**r + 2**r + ... + m**r, and the Bernoulli numbers read off them.
 Single binomials and factorials are math.comb and math.factorial; the
 first rows of Pascal's triangle come in one call from binomial_rows.
 Everything is integer or Fraction arithmetic; nothing here is
@@ -11,7 +11,7 @@ Each quantity depends on one index only and is built once into an
 append-only table, given the function that builds each entry from the
 ones before it: Stirling rows (read one number at a time through
 stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
-rows, Bernoulli numbers and Faulhaber polynomials. clear_caches()
+rows, Faulhaber polynomials and Bernoulli numbers. clear_caches()
 empties them in place, and cache_info() counts their entries.
 """
 
@@ -77,29 +77,19 @@ def _binomial_row(rows: list) -> tuple[int, ...]:
     return (1, *map(operator.add, prev, prev[1:]), 1)
 
 
-def _bernoulli_number(values: list) -> Fraction:
-    """b_k from sum(comb(k+1, j) * b_j for j in 0..k) = 0 for k >= 1.
-
-    This forces b_1 = -1/2 and b_k = 0 for odd k >= 3.
-    """
-    k = len(values)
-    if k == 0:
-        return Fraction(1)
-    return Fraction(-sum(math.comb(k + 1, j) * values[j] for j in range(k)), k + 1)
-
-
 def _faulhaber(polys: list) -> RationalPolynomial:
     """P_r for r = len(polys), see faulhaber_polynomial."""
     r = len(polys)
-    evens = [(j, bernoulli(j)) for j in range(2, r + 1, 2)]  # odd ones vanish
-    scale = math.lcm(2, *[b.denominator for _, b in evens])
-    nums = [0] * (r + 2)
-    nums[r + 1] = scale
-    if r >= 1:
-        nums[r] = scale // 2 * (r + 1)
-    for j, b in evens:
-        nums[r + 1 - j] = math.comb(r + 1, j) * b.numerator * (scale // b.denominator)
-    return RationalPolynomial.from_numerators(nums, scale * (r + 1))
+    row = [math.comb(r + 1, j) for j in range(r + 2)]
+    telescoped = RationalPolynomial.from_numerators([0, *row[1:]], 1)  # (m+1)**(r+1) - 1
+    lower = zip([-c for c in row], polys)
+    return RationalPolynomial.linear_combination([(1, telescoped), *lower], r + 1)
+
+
+def _bernoulli_number(values: list) -> Fraction:
+    """b_k = [m**1] P_k, but b_1 = -1/2; _faulhaber never reads this table back."""
+    k = len(values)
+    return Fraction(-1, 2) if k == 1 else faulhaber_polynomial(k).coefficient(1)
 
 
 _STIRLING = _AppendOnlyTable(_stirling_row)
@@ -133,7 +123,7 @@ def binomial_rows(count: int) -> list[tuple[int, ...]]:
 
 
 def bernoulli(k: int) -> Fraction:
-    """The Bernoulli number b_k (with b_1 = -1/2)."""
+    """The Bernoulli number b_k (with b_1 = -1/2), read off the power sums."""
     if k < 0:
         raise ValueError("Bernoulli numbers need a non-negative index")
     return _BERNOULLI.fill(k + 1)[k]
@@ -151,19 +141,16 @@ def power_sum_oracle(r: int, m: int) -> int:
 
 
 def faulhaber_polynomial(r: int) -> RationalPolynomial:
-    """Closed form for power sums: P_r(m) = sum(k**r for k in 1..m).
+    """The power-sum polynomial P_r(m) = sum(k**r for k in 1..m).
 
-    Bernoulli expansion with the (1/2) m**r term written out explicitly
-    (it is the b_1 term under the b_1 = +1/2 convention):
+    Built from P_0, ..., P_(r-1) by Pascal's recurrence, which sums
+    (k+1)**(r+1) - k**(r+1) over k = 1..m in two ways:
 
-        P_r(m) = m**(r+1)/(r+1) + m**r/2
-                 + sum(comb(r+1, j) * b_j * m**(r+1-j) / (r+1)
-                       for even j in 2..r)
+        (r+1) * P_r(m) = (m+1)**(r+1) - 1
+                         - sum(comb(r+1, j) * P_j(m) for j in 0..r-1)
 
-    Degree is exactly r+1, the constant term is zero, and the leading
-    coefficient is 1/(r+1). The coefficients are built as integers over
-    (r+1) times the lcm of 2 and the Bernoulli denominators, once per r:
-    the polynomials are memoized, and each call returns the stored one.
+    It needs binomials only, no Bernoulli number. The polynomials are
+    memoized, and each call returns the stored one.
     """
     if r < 0:
         raise ValueError("power-sum exponent must be non-negative")

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from fractions import Fraction
 
 from .bell_numbers import TruncatedEGF, bell_via_egf, bell_via_recursion, egf_iterate
@@ -138,16 +138,16 @@ def _check_monotone_in_m() -> None:
 
 
 def _check_first_difference() -> None:
-    for n in range(2, 13):
-        for m in range(1, 7):
-            delta = bell_via_recursion(n, m) - bell_via_recursion(n, m - 1)
-            direct = sum(
-                bell_via_recursion(k, m - 1) * stirling2(n, k) for k in range(1, n)
-            )
-            _require(
-                delta == direct,
-                f"first difference mismatch at n = {n}, m = {m}",
-            )
+    # Every B(k, m) here is read off the EGF iterates, which use no Stirling number.
+    series = TruncatedEGF.exponential(12)
+    prev = [series.integer_coefficient(n) for n in range(13)]
+    for m in range(1, 7):
+        series = egf_iterate(series)
+        cur = [series.integer_coefficient(n) for n in range(13)]
+        for n in range(2, 13):
+            direct = sum(prev[k] * stirling2(n, k) for k in range(1, n))
+            _require(cur[n] - prev[n] == direct, f"first difference mismatch at n = {n}, m = {m}")
+        prev = cur
 
 
 def _check_dual_construction() -> None:
@@ -301,7 +301,8 @@ def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
     """Run every check, print one line per check, return 0 or 1.
 
     Each check's wall time goes to stderr, one line per finished check
-    in order, so that the report itself stays byte-stable.
+    in order, so that the report itself stays byte-stable. A closed,
+    failing or None stderr loses the timings, never the report.
     """
     out = stream if stream is not None else sys.stdout
     failures: list[str] = []
@@ -314,7 +315,9 @@ def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
             print(f"FAIL {name}: {exc}", file=out)
         else:
             print(f"ok   {name}", file=out)
-        print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            with suppress(OSError):
+                print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
     if failures:
         print(
             f"selfcheck: {len(failures)} of {len(CHECKS)} invariants failed; "

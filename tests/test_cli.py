@@ -1,5 +1,6 @@
 """The `bell` command line: outputs, exit codes, byte stability."""
 
+import errno
 import hashlib
 import io
 import json
@@ -576,6 +577,40 @@ class TestBrokenPipe:
         assert self.run_until_closed(args, 1, unbuffered) == (141, "")
 
 
+class FullStream(io.StringIO):
+    """A text stream whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestClosedStreams:
+    """A closed or failing stdout exits 74 with one stderr line and no traceback;
+    a closed or failing stderr costs selfcheck its timings, never its report."""
+
+    @pytest.mark.parametrize("argv", [["value", "--n", "3", "--m", "2"], ["selfcheck"]])
+    @pytest.mark.parametrize("stdout, reason", [
+        (None, "[Errno 9] Bad file descriptor"),
+        (FullStream(), "[Errno 28] No space left on device"),
+    ], ids=["closed", "full"])
+    def test_unwritable_stdout_exits_74(self, monkeypatch, argv, stdout, reason):
+        err = io.StringIO()
+        with monkeypatch.context() as patch, redirect_stderr(err):
+            patch.setattr(sys, "stdout", stdout)
+            rc = main(argv)
+        assert (rc, err.getvalue()) == (74, f"bell: cannot write to stdout: {reason}\n")
+
+    @pytest.mark.parametrize("stderr", [None, FullStream()], ids=["closed", "full"])
+    def test_selfcheck_report_survives_unwritable_stderr(self, monkeypatch, stderr):
+        out = io.StringIO()
+        with monkeypatch.context() as patch, redirect_stdout(out):
+            patch.setattr(sys, "stderr", stderr)
+            rc = main(["selfcheck"])
+        report = [f"ok   {name}" for name, _ in bellpoly.selfcheck.CHECKS]
+        report.append("selfcheck: all 19 invariants hold")
+        assert (rc, out.getvalue().splitlines()) == (0, report)
+
+
 class TestByteStability:
     def test_repeated_runs_are_identical(self):
         cmd = [sys.executable, "-m", "bellpoly", "table", "--format", "json"]
@@ -649,6 +684,19 @@ class TestSelfcheckFaultInjection:
         finally:
             monkeypatch.undo()
             bellpoly.clear_caches()
+
+    def test_corrupted_egf_iterate_fails_the_first_difference_check(self, monkeypatch):
+        real = bellpoly.selfcheck.egf_iterate
+
+        def corrupted(series):  # B(5, m) one too large
+            coeffs = list(real(series).coeffs)
+            coeffs[5] += Fraction(1, 120)
+            return bellpoly.TruncatedEGF(coeffs)
+
+        monkeypatch.setattr(bellpoly.selfcheck, "egf_iterate", corrupted)
+        check = dict(bellpoly.selfcheck.CHECKS)["bell first-difference identity"]
+        with pytest.raises(bellpoly.selfcheck.CheckFailure, match="at n = 5, m = 1"):
+            check()
 
     def test_denominator_not_dividing_factorial_fails_the_shape_check(self, monkeypatch):
         # degree 2 and constant term 1 as B_3 has, but a denominator of 7

@@ -57,7 +57,36 @@ class TestStirling:
         assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
+def bernoulli_by_recurrence(count):
+    """b_0, ..., b_(count-1) from sum(comb(k+1, j) * b_j for j in 0..k) = 0, k >= 1."""
+    b = [Fraction(1)]
+    for k in range(1, count):
+        b.append(Fraction(-sum(math.comb(k + 1, j) * b[j] for j in range(k)), k + 1))
+    return b
+
+
+def power_sum_by_bernoulli(r, b):
+    """P_r from the Bernoulli closed form, with the m**r/2 term written out:
+
+        P_r(m) = m**(r+1)/(r+1) + m**r/2
+                 + sum(comb(r+1, j) * b_j * m**(r+1-j) / (r+1) for j in 2..r)
+    """
+    coeffs = [Fraction(0)] * (r + 2)
+    coeffs[r + 1] = Fraction(1, r + 1)
+    if r >= 1:
+        coeffs[r] = Fraction(1, 2)
+    for j in range(2, r + 1):
+        coeffs[r + 1 - j] = math.comb(r + 1, j) * b[j] / (r + 1)
+    return RationalPolynomial(coeffs)
+
+
+BERNOULLI_64 = bernoulli_by_recurrence(65)
+
+
 class TestBernoulli:
+    def test_matches_defining_recurrence(self):
+        assert [bernoulli(k) for k in range(65)] == BERNOULLI_64
+
     def test_known_values(self):
         assert bernoulli(0) == 1
         assert bernoulli(1) == Fraction(-1, 2)
@@ -93,6 +122,10 @@ class TestPowerSums:
         assert faulhaber_polynomial(3) == RationalPolynomial(
             [0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
         )
+
+    def test_polynomial_matches_bernoulli_closed_form(self):
+        for r in range(65):
+            assert faulhaber_polynomial(r) == power_sum_by_bernoulli(r, BERNOULLI_64), r
 
     @given(r=st.integers(min_value=0, max_value=12), m=st.integers(min_value=0, max_value=200))
     @settings(max_examples=60)
@@ -181,6 +214,7 @@ def test_cache_info_counts_every_table():
     assert set(cache_info().values()) == {0}
     construct_bell_polynomial(6)
     bell_via_egf(5, 3)
+    bernoulli(4)
     info = cache_info()
     keys = [
         "bernoulli_numbers", "binomial_rows", "faulhaber_polynomials",
