@@ -297,14 +297,20 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 )
 
 
-def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
-    """Run every check, print one line per check, return 0 or 1.
+def print_stderr(line: str) -> None:
+    """Print one line to stderr; a closed, failing or None stderr drops it."""
+    if sys.stderr is not None and not sys.stderr.closed:  # print(file=None) writes to stdout
+        with suppress(OSError):
+            print(line, file=sys.stderr)
 
-    Each check's wall time goes to stderr, one line per finished check
-    in order, so that the report itself stays byte-stable. A closed,
-    failing or None stderr loses the timings, never the report.
+
+def run_selfcheck() -> int:
+    """Run every check, print one line per check to stdout, return 0 or 1.
+
+    Each check's wall time goes to stderr, one line per check in order,
+    so that the report stays byte-stable. A closed, failing or None
+    stderr loses the timings, never the report or the exit code.
     """
-    out = stream if stream is not None else sys.stdout
     failures: list[str] = []
     for name, check in CHECKS:
         start = time.perf_counter()
@@ -312,18 +318,15 @@ def run_selfcheck(stream: io.TextIOBase | None = None) -> int:
             check()
         except Exception as exc:
             failures.append(name)
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {exc}")
         else:
-            print(f"ok   {name}", file=out)
-        if sys.stderr is not None:  # print(file=None) would write to stdout
-            with suppress(OSError):
-                print(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}", file=sys.stderr)
+            print(f"ok   {name}")
+        print_stderr(f"{(time.perf_counter() - start) * 1e3:9.1f} ms  {name}")
     if failures:
         print(
             f"selfcheck: {len(failures)} of {len(CHECKS)} invariants failed; "
-            f"first failed invariant: {failures[0]}",
-            file=out,
+            f"first failed invariant: {failures[0]}"
         )
         return 1
-    print(f"selfcheck: all {len(CHECKS)} invariants hold", file=out)
+    print(f"selfcheck: all {len(CHECKS)} invariants hold")
     return 0

@@ -176,7 +176,8 @@ def test_criterion_09_asymptotic_tolerance(criterion):
 def test_criterion_10_selfcheck(criterion):
     with criterion(10, "bell selfcheck passes every invariant and exits 0", limit=60.0):
         out = io.StringIO()
-        assert run_selfcheck(stream=out) == 0
+        with redirect_stdout(out):
+            assert run_selfcheck() == 0
         report = json.dumps(out.getvalue())  # embed for the failure message
         assert "FAIL" not in out.getvalue(), report
         assert out.getvalue().splitlines()[-1] == "selfcheck: all 19 invariants hold"

@@ -22,6 +22,7 @@ import bellpoly.cli
 import bellpoly.polynomial
 import bellpoly.selfcheck
 from bellpoly.cli import main
+from bellpoly.polynomial import ConsistencyError
 from bellpoly.rational_poly import RationalPolynomial
 from bellpoly.rendering import FORMATS, METHODS
 from bellpoly.selfcheck import run_selfcheck
@@ -584,11 +585,29 @@ class FullStream(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-class TestClosedStreams:
-    """A closed or failing stdout exits 74 with one stderr line and no traceback;
-    a closed or failing stderr costs selfcheck its timings, never its report."""
+def closed_stream():
+    stream = io.StringIO()
+    stream.close()
+    return stream
 
-    @pytest.mark.parametrize("argv", [["value", "--n", "3", "--m", "2"], ["selfcheck"]])
+
+@pytest.fixture
+def full():
+    """/dev/full open for writing: every write to it fails with ENOSPC."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as stream:
+        yield stream
+
+
+class TestClosedStreams:
+    """A closed or failing stdout exits 74 with one stderr line and no traceback,
+    help included; a closed, failing or None stderr never changes the exit code,
+    and costs selfcheck its timings, never its report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["value", "--n", "3", "--m", "2"], ["selfcheck"], ["--help"], ["value", "--help"],
+    ])
     @pytest.mark.parametrize("stdout, reason", [
         (None, "[Errno 9] Bad file descriptor"),
         (FullStream(), "[Errno 28] No space left on device"),
@@ -610,6 +629,66 @@ class TestClosedStreams:
         report.append("selfcheck: all 19 invariants hold")
         assert (rc, out.getvalue().splitlines()) == (0, report)
 
+    @pytest.mark.parametrize("make_stderr", [lambda: None, FullStream, closed_stream],
+                             ids=["none", "full", "closed"])
+    @pytest.mark.parametrize("fault, code", [(ConsistencyError, 1), (KeyboardInterrupt, 130)],
+                             ids=["consistency-error", "interrupt"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, monkeypatch, make_stderr, fault, code):
+        def fail(*args):
+            raise fault("injected")
+
+        out = io.StringIO()
+        with monkeypatch.context() as patch, redirect_stdout(out):
+            patch.setattr(sys, "stderr", make_stderr())
+            patch.setattr(bellpoly.cli, "render_value", fail)
+            rc = main(["value", "--n", "3", "--m", "2"])
+        assert (rc, out.getvalue()) == (code, "")
+
+    @staticmethod
+    def run_bell(argv, unbuffered, prelude="", **streams):
+        """`bell ARGV` in a fresh interpreter, run after PRELUDE, through its exit."""
+        code = f"import sys, bellpoly.cli\n{prelude}\nsys.exit(bellpoly.cli.main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env, text=True, **streams)
+
+    # Buffered, the bytes a failed write leaves behind would fail the
+    # interpreter's final flush (exit 120); unbuffered, argparse drops a
+    # failed write of the help.
+    UNBUFFERED = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+    @UNBUFFERED
+    @pytest.mark.parametrize("args", ["value --n 3 --m 2", "--help", "value --help"])
+    def test_full_stdout_exits_74_at_process_exit(self, full, args, unbuffered):
+        proc = self.run_bell(args.split(), unbuffered, stdout=full, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (
+            74, "bell: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
+
+    @UNBUFFERED
+    def test_full_stdout_and_stderr_exit_74(self, full, unbuffered):
+        argv = ["value", "--n", "3", "--m", "2"]
+        assert self.run_bell(argv, unbuffered, stdout=full, stderr=full).returncode == 74
+
+    @UNBUFFERED
+    @pytest.mark.parametrize("args", ["frobnicate", "table --n-max 0"])
+    def test_usage_error_with_full_stderr_exits_2(self, full, args, unbuffered):
+        proc = self.run_bell(args.split(), unbuffered, stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @UNBUFFERED
+    def test_interrupt_with_full_stderr_exits_130(self, full, unbuffered):
+        prelude = ("def interrupt(*args):\n    raise KeyboardInterrupt\n"
+                   "bellpoly.cli.render_value = interrupt")
+        proc = self.run_bell(["value", "--n", "3", "--m", "2"], unbuffered, prelude,
+                             stdout=subprocess.DEVNULL, stderr=full)
+        assert proc.returncode == 130
+
+    @UNBUFFERED
+    def test_selfcheck_with_full_stderr_exits_0(self, full, unbuffered):
+        proc = self.run_bell(["selfcheck"], unbuffered, stdout=subprocess.PIPE, stderr=full)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "selfcheck: all 19 invariants hold"
+
 
 class TestByteStability:
     def test_repeated_runs_are_identical(self):
@@ -627,8 +706,8 @@ class TestByteStability:
 
     def test_selfcheck_times_each_check_on_stderr(self):
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stderr(err):
-            assert run_selfcheck(stream=out) == 0
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run_selfcheck() == 0
         assert all(line.startswith("ok   ") for line in out.getvalue().splitlines()[:-1])
         timed = [re.fullmatch(r" *\d+\.\d ms  (.+)", line) for line in err.getvalue().splitlines()]
         assert all(timed)
@@ -673,7 +752,8 @@ class TestSelfcheckFaultInjection:
         monkeypatch.setattr(bellpoly.bell_numbers, "stirling_row", corrupted)
         try:
             out = io.StringIO()
-            rc = run_selfcheck(stream=out)
+            with redirect_stdout(out):
+                rc = run_selfcheck()
             report = out.getvalue()
             assert rc == 1
             assert (

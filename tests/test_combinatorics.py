@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -251,7 +252,8 @@ def module_containers():
 def test_every_cache_is_a_registered_table():
     clear_caches()
     before = module_containers()
-    assert run_selfcheck(stream=io.StringIO()) == 0
+    with redirect_stdout(io.StringIO()):
+        assert run_selfcheck() == 0
     construct_bell_polynomial(12)
     bell_via_egf(10, 5)
     grown = {key: (before.get(key), size) for key, size in module_containers().items()

@@ -522,6 +522,46 @@ class TestConstruction:
             subleading[n] = b
         assert subleading[31] > 0 > subleading[32]
 
+    def test_third_coefficient_conjecture(self):
+        """A conjecture, not yet proved: the m^(n-3) coefficient c_n has
+
+        c_n / a_n = C(n-1, 2) ((4 - H_{n-1})^2 - H2_{n-1}) / 9 + (n-2)(3n-5)/36,
+
+        with a_n = n!/2^(n-1), H the harmonic and H2 the second-order
+        harmonic numbers. Checked for n = 3..64.
+        """
+        for n in range(3, 65):
+            harmonic = sum(Fraction(1, k) for k in range(1, n))
+            harmonic2 = sum(Fraction(1, k * k) for k in range(1, n))
+            ratio = (comb(n - 1, 2) * ((4 - harmonic) ** 2 - harmonic2) / 9
+                     + Fraction((n - 2) * (3 * n - 5), 36))
+            c = Fraction(factorial(n), 2 ** (n - 1)) * ratio
+            assert interpolate_bell_polynomial(n).poly.coefficient(n - 3) == c
+            if n <= 40:
+                assert construct_bell_polynomial(n).poly.coefficient(n - 3) == c
+
+    def test_negative_m_matches_inverse_egf_step(self):
+        # B(j, m + 1) = sum_{i=1..j} C(j-1, i-1) B(i, m) B(j-i, m + 1), so
+        # with G_j = B(j, m) the values F_j = B(j, m - 1) are F_0 = 1 and
+        # F_j = G_j - sum_{i=1..j-1} C(j-1, i-1) F_i G_{j-i}. From
+        # B(j, 0) = 1, k such steps give B(j, -k), in integers only.
+        interpolated = [interpolate_bell_polynomial(n).poly for n in range(65)]
+        constructed = [construct_bell_polynomial(n).poly for n in range(41)]
+        row = [1] * 65
+        for k in range(1, 64):
+            prev = [1]
+            for j in range(1, 65):
+                prev.append(
+                    row[j] - sum(comb(j - 1, i - 1) * prev[i] * row[j - i] for i in range(1, j))
+                )
+            row = prev
+            assert [p.evaluate(-k) for p in interpolated] == row
+            assert [p.evaluate(-k) for p in constructed] == row[:41]
+            if k == 1:
+                assert row[2:] == [0] * 63
+            if k == 2:
+                assert row[2:] == [(-1) ** (n - 1) * factorial(n - 1) for n in range(2, 65)]
+
     def test_matches_fraction_telescoping_reference(self):
         reference = fraction_telescoping(40)
         for n in range(41):
