@@ -215,39 +215,41 @@ def bell_via_polynomial(n: int, m: int) -> int:
 
 
 def leading_coefficient(n: int) -> Fraction:
-    """Top coefficient of the Bell polynomial, built by its own recurrence.
-
-    Iterates c(j) = (j/2) * c(j-1) from c(1) = 1 (B(1, m) is constantly
-    one), on the integer numerator and denominator separately, and
-    reduces once at the end. That the result equals the closed form
-    n!/2**(n-1) is asserted by tests rather than assumed here.
-    """
+    """Top coefficient n!/2**(n-1) of the Bell polynomial, in closed form."""
     if n < 1:
         raise ValueError("leading coefficients start at n = 1")
-    num = den = 1
-    for j in range(2, n + 1):
-        num *= j
-        den *= 2
-    return Fraction(num, den)
+    return Fraction(math.factorial(n), 2 ** (n - 1))
 
 
 def verify_theorem(n: int) -> Fraction:
     """Confirm the leading-coefficient law for one n and return the value.
 
-    The top coefficient of the Bell polynomial must come out the same
-    three ways: read off the interpolated polynomial, iterated via the
-    halving recurrence, and written in closed form as n!/2**(n-1).
+    The top coefficient must come out the same from three separate
+    computations: read off the interpolated polynomial; n!/2**(n-1)
+    from leading_coefficient; and the top Newton entry telescoped from
+    the Stirling triangle, prod(S(j, j-1) for j in 2..n) / (n-1)!, whose
+    factors S(j, j-1)/(j-1) = j/2 are the halving recurrence's steps.
     Raises ConsistencyError if they do not all agree.
+
+    The law in one line, two ways. In the Newton basis
+    B_j(m) = sum(a_k * C(m, k)), level j's top entry is level j-1's
+    times S(j, j-1) = C(j, 2), so B_n's is n!(n-1)!/2**(n-1), and its
+    m**(n-1) coefficient is that over (n-1)!. By the iterative logarithm
+    l = x**2/2 + ... of e**x - 1, with D = l(x) d/dx,
+    B_n(m) = sum(m**k/k! * n! [x**n] D**k e**x), and D**k 1 = 0 while
+    D**k x = (k!/2**k) x**(k+1) + ..., so the top is n!/(n-1)! * (n-1)!/2**(n-1).
     """
     if n < 1:
         raise ValueError("the leading-coefficient law starts at n = 1")
     fitted = interpolate_bell_polynomial(n).poly.leading_coefficient()
-    iterated = leading_coefficient(n)
-    closed = Fraction(math.factorial(n), 2 ** (n - 1))
-    if not (fitted == iterated == closed):
+    closed = leading_coefficient(n)
+    halved = Fraction(
+        math.prod([stirling_row(j)[j - 1] for j in range(2, n + 1)]), math.factorial(n - 1)
+    )
+    if not (fitted == closed == halved):
         raise ConsistencyError(
             f"leading coefficient for n={n}: interpolation gives {fitted}, "
-            f"halving recurrence gives {iterated}, n!/2^(n-1) gives {closed}"
+            f"n!/2^(n-1) gives {closed}, halving recurrence gives {halved}"
         )
     return closed
 

@@ -127,31 +127,21 @@ class RationalPolynomial(Record):
             scale *= q
         return Fraction(acc, self._den * (scale // q))
 
-    def shift(self, delta: int | Fraction) -> RationalPolynomial:
-        """The polynomial r with r(x) = self(x + delta), by an integer Taylor shift.
+    def shift(self, delta: int) -> RationalPolynomial:
+        """The polynomial r with r(x) = self(x + delta), for an integer delta.
 
-        For delta = p/q and degree k, self(x) = b(q*x) / (d * q**k) with
-        the integer polynomial b(y) = sum(a_j * q**(k-j) * y**j), so
-        self(x + p/q) = b(q*x + p) / (d * q**k): shift b by the integer
-        p in place, then scale y back to q*x. An integer delta is q = 1.
+        A Taylor shift by Horner's rule, repeated, on the integer
+        numerators; the denominator stays. Any other step raises
+        TypeError.
         """
-        if not self._nums:
-            return self
-        p, q = delta.numerator, delta.denominator
+        if not isinstance(delta, int):
+            raise TypeError(f"shift takes an integer step, not {type(delta).__name__}")
         b = list(self._nums)
         k = len(b) - 1
-        scale = 1
-        for j in range(k, -1, -1):
-            b[j] *= scale
-            scale *= q
-        for i in range(k):  # Horner's rule, repeated: b(y) -> b(y + p)
+        for i in range(k):  # b(x) -> b(x + delta)
             for j in range(k - 1, i - 1, -1):
-                b[j] += p * b[j + 1]
-        scale = 1
-        for j in range(k + 1):
-            b[j] *= scale
-            scale *= q
-        return self.from_numerators(b, self._den * (scale // q))
+                b[j] += delta * b[j + 1]
+        return self.from_numerators(b, self._den)
 
     @classmethod
     def linear_combination(

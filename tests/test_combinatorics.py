@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import bellpoly.cli
 from bellpoly import (
+    asymptotic_report,
     bell_numbers,
     bell_via_egf,
+    bell_via_polynomial,
     bell_via_recursion,
     bernoulli,
     cache_info,
@@ -23,10 +25,12 @@ from bellpoly import (
     construct_bell_polynomial,
     faulhaber_polynomial,
     interpolate_bell_polynomial,
+    leading_coefficient,
     polynomial,
     power_sum_oracle,
     stirling2,
     stirling_row,
+    verify_theorem,
 )
 from bellpoly.rational_poly import RationalPolynomial
 from bellpoly.selfcheck import run_selfcheck
@@ -230,6 +234,46 @@ def test_cache_info_counts_every_table():
     assert all(now is before for now, before in zip(module_tables(), tables))
     assert sorted(cache_info()) == keys
     assert set(cache_info().values()) == {0}
+
+
+EGF_TABLES = {"binomial_rows"}
+RECURSION_TABLES = {"stirling_rows", "recursion_cells"}
+INTERPOLATION_TABLES = RECURSION_TABLES | {"interpolated_polynomials"}
+TELESCOPING_TABLES = INTERPOLATION_TABLES | {"faulhaber_polynomials"}
+ROUTES = {
+    "bell_via_egf": (lambda: bell_via_egf(5, 3), EGF_TABLES),
+    "bell_via_recursion": (lambda: bell_via_recursion(5, 3), RECURSION_TABLES),
+    "interpolate_bell_polynomial": (lambda: interpolate_bell_polynomial(6), INTERPOLATION_TABLES),
+    "verify_theorem": (lambda: verify_theorem(6), INTERPOLATION_TABLES),
+    "construct_bell_polynomial": (lambda: construct_bell_polynomial(6), TELESCOPING_TABLES),
+    "bell_via_polynomial": (lambda: bell_via_polynomial(6, 3), TELESCOPING_TABLES),
+    "asymptotic_report": (lambda: asymptotic_report(6, 10), TELESCOPING_TABLES),
+    "leading_coefficient": (lambda: leading_coefficient(6), set()),
+}
+
+
+def footprint(route):
+    """The memo tables a route fills, starting from empty caches."""
+    clear_caches()
+    ROUTES[route][0]()
+    filled = {name for name, count in cache_info().items() if count}
+    clear_caches()
+    return filled
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_route_memo_footprint(route):
+    assert footprint(route) == ROUTES[route][1]
+
+
+def test_route_independence():
+    assert not footprint("bell_via_egf") & footprint("bell_via_recursion")
+    # Known gap, ROADMAP item 7: the telescoping construction checks each
+    # level against the interpolation, and its own build reads the Stirling
+    # rows that the interpolation's samples read. Item 7 makes the two
+    # polynomial routes disjoint, and this overlap assertion goes with it.
+    overlap = footprint("interpolate_bell_polynomial") & footprint("construct_bell_polynomial")
+    assert overlap == INTERPOLATION_TABLES
 
 
 def module_containers():
