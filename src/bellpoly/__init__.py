@@ -87,7 +87,8 @@ def clear_caches() -> None:
     step, the Faulhaber polynomials behind `faulhaber_polynomial`, the
     Bernoulli numbers read off them, the recursion's grid of B(n, m),
     and the checked fits that `interpolate_bell_polynomial` stores in
-    order of n. Each stays the same object; a call already running
+    order of n. Each table stays the same object: its `clear` swaps in
+    an empty container under its lock, and a call already running
     finishes on the entries it started with.
     """
     for table in _TABLES.values():

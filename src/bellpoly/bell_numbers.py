@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .combinatorics import binomial_rows, stirling_row
+from .combinatorics import _MemoTable, binomial_rows, stirling_row
 from .records import Record
 
 
@@ -127,27 +126,19 @@ def bell_via_egf(n: int, m: int) -> int:
     return series.integer_coefficient(n)
 
 
-class BellTable:
+class BellTable(_MemoTable):
     """Memoized grid of B(n, m), filled row by row in m.
 
-    The m = 0 row and n = 0 column are identically 1 and never stored.
-    Fills are lock-guarded so an instance may be shared across threads.
-    `clear` swaps in an empty dict under the lock, so a call already
-    running finishes on the old one.
+    A dict keyed by (n, m) on the memo-table base, which brings the
+    fill lock, `len` and `clear`. The m = 0 row and n = 0 column are
+    identically 1 and never stored. A non-integer index raises
+    TypeError before the grid is read.
     """
 
-    def __init__(self):
-        self._entries: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries = {}
+    _empty = dict
 
     def value(self, n: int, m: int) -> int:
+        n, m = operator.index(n), operator.index(m)
         if n < 0 or m < 0:
             raise ValueError("Bell numbers need non-negative indices")
         if n == 0 or m == 0:
@@ -167,11 +158,9 @@ class BellTable:
         cells form a staircase: if (n, mm) is stored, so is every
         (nn, mm') with nn <= n and mm' <= mm. The fill starts from the
         highest such m-row, carried as the list B(0..n, mm) (the all-ones
-        row m = 0 if there is none). Levels stored at m are stored in
-        every row of the fill; each level above them has a missing cell
-        and reads its Stirling row S(nn, 0..nn) once per fill.
-        S(nn, 0) = 0 weights B(0, mm) = 1, so a row lines up with the
-        list as is.
+        row m = 0 if there is none), and reads the Stirling row
+        S(nn, 0..nn) only for a missing cell. S(nn, 0) = 0 weights
+        B(0, mm) = 1, so a row lines up with the list as is.
         """
         start = m - 1
         while start > 0 and (n, start) not in entries:
@@ -180,17 +169,12 @@ class BellTable:
             previous = [1, *[entries[(nn, start)] for nn in range(1, n + 1)]]
         else:
             previous = [1] * (n + 1)
-        low = 1
-        while low <= n and (low, m) in entries:
-            low += 1
-        weights = [()] * low + [stirling_row(nn) for nn in range(low, n + 1)]
         for mm in range(start + 1, m + 1):
             row = [1]
             for nn in range(1, n + 1):
                 total = entries.get((nn, mm))
                 if total is None:
-                    total = sum(map(operator.mul, weights[nn], previous))
-                    entries[(nn, mm)] = total
+                    total = entries[(nn, mm)] = sum(map(operator.mul, stirling_row(nn), previous))
                 row.append(total)
             previous = row
 

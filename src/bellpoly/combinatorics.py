@@ -25,18 +25,18 @@ from fractions import Fraction
 from .rational_poly import RationalPolynomial
 
 
-class _AppendOnlyTable:
-    """Entries 0, 1, 2, ... of a sequence, each computed once on demand.
+class _MemoTable:
+    """A memo container with its fill lock, `len` and `clear`.
 
-    `build(entries)` returns entry len(entries) from the entries before
-    it; nothing is evicted. Fills are lock-guarded, and a read of a
-    filled entry takes no lock. `clear` swaps in an empty list under the
-    lock, so a call already running finishes on the old one.
+    Subclasses fill `_entries`, a new `_empty()`, under `_lock`; a read
+    of a stored entry takes no lock. `clear` swaps in an empty container
+    under the lock, so a call already running finishes on the old one.
     """
 
-    def __init__(self, build):
-        self._build = build
-        self._entries: list = []
+    _empty = list
+
+    def __init__(self):
+        self._entries = self._empty()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -44,7 +44,19 @@ class _AppendOnlyTable:
 
     def clear(self) -> None:
         with self._lock:
-            self._entries = []
+            self._entries = self._empty()
+
+
+class _AppendOnlyTable(_MemoTable):
+    """Entries 0, 1, 2, ... of a sequence, each computed once on demand.
+
+    `build(entries)` returns entry len(entries) from the entries before
+    it; nothing is evicted.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
 
     def fill(self, count: int) -> list:
         """The stored list, holding at least `count` entries."""

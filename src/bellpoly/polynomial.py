@@ -24,8 +24,8 @@ route whose cost does not grow with m.
 
 Only the interpolation route is memoized, in an append-only table of
 the fits B_1, B_2, ... in order of n, emptied by clear_caches(). The
-telescoping construction rebuilds every level on each call and never
-reads the table, so the two routes stay independent. As with the
+telescoping construction builds every level from Stirling rows and
+power sums, and reads the fits only to check each level. As with the
 recursion grid, a fault injected into the samples after a fit is
 stored goes unseen until clear_caches().
 """

@@ -116,8 +116,10 @@ class RationalPolynomial(Record):
         """Exact value at x = p/q, by Horner's rule in integers.
 
         Accumulates sum(a_j * p**j * q**(k-j)) for degree k and divides
-        by d * q**k once.
+        by d * q**k once. Any x but an int or a Fraction raises TypeError.
         """
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"evaluate takes an int or a Fraction, not {type(x).__name__}")
         if not self._nums:
             return Fraction(0)
         p, q = x.numerator, x.denominator

@@ -1,0 +1,128 @@
+"""Inputs the library refuses, and the guards that refuse them.
+
+Each guard here is reached by no other test: deleting it makes the
+test for it fail.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import bellpoly
+from bellpoly import (
+    BellPolynomial,
+    ConsistencyError,
+    RationalPolynomial,
+    TruncatedEGF,
+    asymptotic_report,
+    bell_via_polynomial,
+    construct_bell_polynomial,
+    difference_polynomial,
+    faulhaber_polynomial,
+    stirling_row,
+)
+from bellpoly.oracles import egf_step_rational, partition_block_counts
+
+SRC = str(Path(bellpoly.__file__).parent.parent)
+
+# Calls bell_via_recursion with each non-integer index as n and as m,
+# on an empty grid or on one that already holds (3, 2) and (3, 3), and
+# prints what each call raised or returned.
+NON_INTEGER_INDICES = """
+import json, sys
+from fractions import Fraction
+import bellpoly
+
+outcomes = {}
+for bad in (float("inf"), float("nan"), 2.5, 3.0, Fraction(2)):
+    for args in ((bad, 2), (3, bad)):
+        bellpoly.clear_caches()
+        if sys.argv[1] == "warm":
+            bellpoly.bell_via_recursion(8, 8)
+        try:
+            outcomes[repr(args)] = repr(bellpoly.bell_via_recursion(*args))
+        except Exception as exc:
+            outcomes[repr(args)] = type(exc).__name__
+print(json.dumps(outcomes))
+"""
+
+
+@pytest.mark.parametrize("grid", ["cold", "warm"])
+def test_recursion_rejects_non_integer_indices(grid):
+    # In a child process with a timeout: an index that never counts down
+    # to 0 (inf) would hang the fill while it holds the grid's lock.
+    proc = subprocess.run(
+        [sys.executable, "-c", NON_INTEGER_INDICES, grid],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=60, check=True,
+    )
+    outcomes = json.loads(proc.stdout)
+    assert len(outcomes) == 10
+    assert outcomes == dict.fromkeys(outcomes, "TypeError")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RationalPolynomial([1, 2]).evaluate(0.5),
+        lambda: RationalPolynomial().evaluate(0.5),
+        lambda: bell_via_polynomial(3, 2.5),
+        lambda: asymptotic_report(3, 2.5),
+    ],
+    ids=["evaluate", "evaluate-zero", "bell_via_polynomial", "asymptotic_report"],
+)
+def test_float_argument_to_evaluate_raises_type_error(call):
+    with pytest.raises(TypeError, match=r"^evaluate takes an int or a Fraction, not float$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "b2",
+    [
+        RationalPolynomial([1, -1]),  # D = 4 - 3m falls
+        RationalPolynomial([1]),  # D = 4 has degree 0
+        RationalPolynomial([1, 0, 1]),  # D = 4 + 3m**2 has degree 2
+    ],
+    ids=["falling", "degree-too-low", "degree-too-high"],
+)
+def test_difference_of_wrong_shape_raises(b2):
+    lower = [BellPolynomial(1, RationalPolynomial([1])), BellPolynomial(2, b2)]
+    with pytest.raises(ConsistencyError, match=r"^difference polynomial for n=3 has degree"):
+        difference_polynomial(3, lower)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n", [([1, Fraction(1, 3)], 1), ([1, 1, Fraction(1, 4)], 2)], ids=["a_1", "a_2"]
+)
+def test_non_integral_coefficient_raises(coeffs, n):
+    with pytest.raises(ConsistencyError, match=rf"^{n}! \* a_{n} = .* is not an integer$"):
+        TruncatedEGF(coeffs).integer_coefficient(n)
+
+
+@pytest.mark.parametrize("constant", [0, 2, Fraction(1, 2)], ids=str)
+def test_rational_step_rejects_wrong_constant_term(constant):
+    with pytest.raises(ValueError, match=r"constant term != 1$"):
+        egf_step_rational(TruncatedEGF([constant, 1]))
+
+
+NEGATIVE_INDEX_MESSAGES = [
+    (construct_bell_polynomial, "n must be non-negative"),
+    (stirling_row, "Stirling numbers need non-negative arguments"),
+    (faulhaber_polynomial, "power-sum exponent must be non-negative"),
+    # without its own guard, the empty series would raise a different ValueError
+    (TruncatedEGF.exponential, "truncation order must be non-negative"),
+    (partition_block_counts, "set size must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    NEGATIVE_INDEX_MESSAGES,
+    ids=[call.__qualname__ for call, _ in NEGATIVE_INDEX_MESSAGES],
+)
+def test_negative_index_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(-1)
