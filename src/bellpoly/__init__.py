@@ -82,14 +82,9 @@ _TABLES = {
 def clear_caches() -> None:
     """Empty every memoized table in place (mainly for tests that patch internals).
 
-    The tables are the Stirling rows behind `stirling2` and
-    `stirling_row`, the binomial rows that weight each `egf_iterate`
-    step, the Faulhaber polynomials behind `faulhaber_polynomial`, the
-    Bernoulli numbers read off them, the recursion's grid of B(n, m),
-    and the checked fits that `interpolate_bell_polynomial` stores in
-    order of n. Each table stays the same object: its `clear` swaps in
-    an empty container under its lock, and a call already running
-    finishes on the entries it started with.
+    The tables are the ones `cache_info` counts. Each stays the same
+    object: its `clear` swaps in an empty container under its lock, and
+    a call already running finishes on the entries it started with.
     """
     for table in _TABLES.values():
         table.clear()

@@ -131,16 +131,15 @@ class BellTable(_MemoTable):
 
     A dict keyed by (n, m) on the memo-table base, which brings the
     fill lock, `len` and `clear`. The m = 0 row and n = 0 column are
-    identically 1 and never stored. A non-integer index raises
-    TypeError before the grid is read.
+    identically 1 and never stored. The base's `check` refuses a bad
+    index before the grid is read.
     """
 
     _empty = dict
+    _refusal = "Bell numbers need non-negative indices"
 
     def value(self, n: int, m: int) -> int:
-        n, m = operator.index(n), operator.index(m)
-        if n < 0 or m < 0:
-            raise ValueError("Bell numbers need non-negative indices")
+        n, m = self.check(n), self.check(m)
         if n == 0 or m == 0:
             return 1
         key = (n, m)

@@ -12,7 +12,10 @@ append-only table, given the function that builds each entry from the
 ones before it: Stirling rows (read one number at a time through
 stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
 rows, Faulhaber polynomials and Bernoulli numbers. clear_caches()
-empties them in place, and cache_info() counts their entries.
+empties them in place, and cache_info() counts their entries. Every
+index is checked before any read or fill: one that is not an integer
+raises TypeError, a negative one ValueError, and cache_info() stays as
+it was.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from .rational_poly import RationalPolynomial
 
 
 class _MemoTable:
-    """A memo container with its fill lock, `len` and `clear`.
+    """A memo container with its fill lock, `len`, `clear` and `check`.
 
     Subclasses fill `_entries`, a new `_empty()`, under `_lock`; a read
     of a stored entry takes no lock. `clear` swaps in an empty container
     under the lock, so a call already running finishes on the old one.
+    Subclasses set `_refusal`, the message `check` raises for a negative index.
     """
 
     _empty = list
@@ -46,20 +50,35 @@ class _MemoTable:
         with self._lock:
             self._entries = self._empty()
 
+    def check(self, index: int) -> int:
+        """`index` as an int: TypeError if it is not one, ValueError if negative."""
+        index = operator.index(index)
+        if index < 0:
+            raise ValueError(self._refusal)
+        return index
+
 
 class _AppendOnlyTable(_MemoTable):
     """Entries 0, 1, 2, ... of a sequence, each computed once on demand.
 
-    `build(entries)` returns entry len(entries) from the entries before
-    it; nothing is evicted.
+    `build(entries)` returns the next entry from the stored ones; nothing
+    is evicted. The fixed `head` entries come first and are never stored.
     """
 
-    def __init__(self, build):
+    def __init__(self, build, refusal: str, head: tuple = ()):
         super().__init__()
-        self._build = build
+        self._build, self._refusal, self._head = build, refusal, head
 
-    def fill(self, count: int) -> list:
-        """The stored list, holding at least `count` entries."""
+    def __getitem__(self, index: int):
+        """Entry `index`, filling the table up to it."""
+        index = self.check(index) - len(self._head)
+        return self._head[index] if index < 0 else self._fill(index + 1)[index]
+
+    def prefix(self, count: int) -> list:
+        """A new list of the first `count` stored entries."""
+        return self._fill(self.check(count))[:count]
+
+    def _fill(self, count: int) -> list:
         entries = self._entries
         if len(entries) < count:
             with self._lock:
@@ -104,41 +123,32 @@ def _bernoulli_number(values: list) -> Fraction:
     return Fraction(-1, 2) if k == 1 else faulhaber_polynomial(k).coefficient(1)
 
 
-_STIRLING = _AppendOnlyTable(_stirling_row)
-_BINOMIAL = _AppendOnlyTable(_binomial_row)
-_BERNOULLI = _AppendOnlyTable(_bernoulli_number)
-_FAULHABER = _AppendOnlyTable(_faulhaber)
+_STIRLING = _AppendOnlyTable(_stirling_row, "Stirling numbers need non-negative arguments")
+_BINOMIAL = _AppendOnlyTable(_binomial_row, "binomial rows need a non-negative count")
+_BERNOULLI = _AppendOnlyTable(_bernoulli_number, "Bernoulli numbers need a non-negative index")
+_FAULHABER = _AppendOnlyTable(_faulhaber, "power-sum exponent must be non-negative")
 
 
 def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k nonempty blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("Stirling numbers need non-negative arguments")
-    return _STIRLING.fill(n + 1)[n][k] if k <= n else 0
+    """Number of partitions of an n-set into k nonempty blocks; checks k, then n."""
+    k = _STIRLING.check(k)
+    row = _STIRLING[n]
+    return row[k] if k < len(row) else 0
 
 
 def stirling_row(n: int) -> tuple[int, ...]:
-    """The whole row S(n, 0), ..., S(n, n) as a tuple, built once."""
-    if n < 0:
-        raise ValueError("Stirling numbers need non-negative arguments")
-    return _STIRLING.fill(n + 1)[n]
+    """The whole row S(n, 0), ..., S(n, n) as a tuple, built once; checks n first."""
+    return _STIRLING[n]
 
 
 def binomial_rows(count: int) -> list[tuple[int, ...]]:
-    """Rows C(k, 0..k) for k = 0..count-1 in one list.
-
-    Each row is the stored tuple, built once; the list is a new one.
-    """
-    if count < 0:
-        raise ValueError("binomial rows need a non-negative count")
-    return _BINOMIAL.fill(count)[:count]
+    """Rows C(k, 0..k) for k < count (checked first): stored tuples, a new list."""
+    return _BINOMIAL.prefix(count)
 
 
 def bernoulli(k: int) -> Fraction:
-    """The Bernoulli number b_k (with b_1 = -1/2), read off the power sums."""
-    if k < 0:
-        raise ValueError("Bernoulli numbers need a non-negative index")
-    return _BERNOULLI.fill(k + 1)[k]
+    """Bernoulli number b_k (b_1 = -1/2), read off the power sums; checks k first."""
+    return _BERNOULLI[k]
 
 
 def power_sum_oracle(r: int, m: int) -> int:
@@ -162,9 +172,7 @@ def faulhaber_polynomial(r: int) -> RationalPolynomial:
                          - sum(comb(r+1, j) * P_j(m) for j in 0..r-1)
 
     It needs binomials only, no Bernoulli number. The polynomials are
-    memoized, and each call returns the stored one.
+    memoized, and each call returns the stored one. Checks r first.
     """
-    if r < 0:
-        raise ValueError("power-sum exponent must be non-negative")
-    return _FAULHABER.fill(r + 1)[r]
+    return _FAULHABER[r]
 

@@ -67,11 +67,10 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     call fits every level below n too: two to three times the work of
     B_n alone at n = 64. A fault injected into the samples after a fit
     is stored stays unseen until clear_caches(); a fit that fails its
-    check stores nothing, and the fits below it stay.
+    check stores nothing, and the fits below it stay. A non-integer n
+    raises TypeError, a negative one ValueError, before any fit.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _FITS.fill(n)[n - 1] if n else _B0
+    return _FITS[n]
 
 
 def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
@@ -117,7 +116,7 @@ def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
 
 
 _B0 = BellPolynomial(0, _ONE)  # B_0, the constant 1
-_FITS = _AppendOnlyTable(_fit_bell_polynomial)  # entry n-1 is B_n
+_FITS = _AppendOnlyTable(_fit_bell_polynomial, "n must be non-negative", (_B0,))  # entry n is B_n
 
 
 def _forward_difference(n: int, lower: Sequence[BellPolynomial]) -> RationalPolynomial:
@@ -174,10 +173,7 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
     the interpolation route; any coefficient mismatch raises
     ConsistencyError.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return _B0
+    n = _FITS.check(n)  # refused as interpolate_bell_polynomial refuses it
     levels: list[BellPolynomial] = []
     power_sums: list[RationalPolynomial] = []  # P_0, ..., P_{j-2}
     for j in range(1, n + 1):
@@ -197,7 +193,7 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
                 f"interpolation: {poly!r} vs {reference.poly!r}"
             )
         levels.append(BellPolynomial(j, poly))
-    return levels[-1]
+    return levels[-1] if n else _B0
 
 
 def bell_via_polynomial(n: int, m: int) -> int:

@@ -17,6 +17,7 @@ import time
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from fractions import Fraction
+from itertools import accumulate
 
 from .bell_numbers import TruncatedEGF, bell_via_egf, bell_via_recursion, egf_iterate
 from .combinatorics import bernoulli, faulhaber_polynomial, power_sum_oracle, stirling2
@@ -69,14 +70,14 @@ def _check_bernoulli_recurrence() -> None:
 def _check_faulhaber_oracle() -> None:
     for r in range(0, 13):
         p = faulhaber_polynomial(r)
-        for m in range(0, 201):
-            expected = power_sum_oracle(r, m)
+        for m, expected in enumerate(accumulate((k ** r for k in range(1, 201)), initial=0)):
             got = p.evaluate(m)
             _require(
                 got == expected,
                 f"sum of i^{r} for i <= {m}: polynomial gives {got}, "
                 f"direct sum gives {expected}",
             )
+        _require(expected == power_sum_oracle(r, 200), f"running sum of i^{r} != oracle at 200")
 
 
 def _check_faulhaber_shape() -> None:

@@ -20,11 +20,15 @@ from bellpoly import (
     TruncatedEGF,
     asymptotic_report,
     bell_via_polynomial,
+    bernoulli,
     construct_bell_polynomial,
     difference_polynomial,
     faulhaber_polynomial,
+    interpolate_bell_polynomial,
+    stirling2,
     stirling_row,
 )
+from bellpoly.combinatorics import binomial_rows
 from bellpoly.oracles import egf_step_rational, partition_block_counts
 
 SRC = str(Path(bellpoly.__file__).parent.parent)
@@ -61,6 +65,60 @@ def test_recursion_rejects_non_integer_indices(grid):
     )
     outcomes = json.loads(proc.stdout)
     assert len(outcomes) == 10
+    assert outcomes == dict.fromkeys(outcomes, "TypeError")
+
+
+# Calls each function that reads a one-index memo table with each
+# non-integer index, on empty tables or on tables already filled past
+# it, and prints what each call raised or returned, and whether any
+# table grew.
+TABLE_INDICES = """
+import json, sys
+from fractions import Fraction
+import bellpoly
+from bellpoly.combinatorics import binomial_rows
+
+calls = {
+    "stirling2(n, 2)": lambda bad: bellpoly.stirling2(bad, 2),
+    "stirling2(3, k)": lambda bad: bellpoly.stirling2(3, bad),
+    "stirling_row": bellpoly.stirling_row,
+    "binomial_rows": binomial_rows,
+    "bernoulli": bellpoly.bernoulli,
+    "faulhaber_polynomial": bellpoly.faulhaber_polynomial,
+    "interpolate_bell_polynomial": bellpoly.interpolate_bell_polynomial,
+    "construct_bell_polynomial": bellpoly.construct_bell_polynomial,
+    "verify_theorem": bellpoly.verify_theorem,
+}
+outcomes = {}
+for name, call in calls.items():
+    for bad in (float("inf"), float("nan"), 2.5, 3.0, Fraction(2)):
+        bellpoly.clear_caches()
+        if sys.argv[1] == "warm":
+            bellpoly.construct_bell_polynomial(8)
+            bellpoly.bernoulli(8)
+            bellpoly.bell_via_egf(8, 1)
+        before = bellpoly.cache_info()
+        try:
+            outcome = repr(call(bad))
+        except Exception as exc:
+            outcome = type(exc).__name__
+        if bellpoly.cache_info() != before:
+            outcome += ", and a table grew"
+        outcomes[f"{name} at {bad!r}"] = outcome
+print(json.dumps(outcomes))
+"""
+
+
+@pytest.mark.parametrize("tables", ["cold", "warm"])
+def test_tables_reject_non_integer_indices(tables):
+    # In a child process with a timeout, as above: an infinite index
+    # would otherwise fill a table forever while holding its lock.
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLE_INDICES, tables],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=60, check=True,
+    )
+    outcomes = json.loads(proc.stdout)
+    assert len(outcomes) == 45
     assert outcomes == dict.fromkeys(outcomes, "TypeError")
 
 
@@ -108,9 +166,17 @@ def test_rational_step_rejects_wrong_constant_term(constant):
         egf_step_rational(TruncatedEGF([constant, 1]))
 
 
+def stirling2_of_five(n):
+    return stirling2(n, 5)
+
+
 NEGATIVE_INDEX_MESSAGES = [
     (construct_bell_polynomial, "n must be non-negative"),
+    (interpolate_bell_polynomial, "n must be non-negative"),
     (stirling_row, "Stirling numbers need non-negative arguments"),
+    (stirling2_of_five, "Stirling numbers need non-negative arguments"),
+    (binomial_rows, "binomial rows need a non-negative count"),
+    (bernoulli, "Bernoulli numbers need a non-negative index"),
     (faulhaber_polynomial, "power-sum exponent must be non-negative"),
     # without its own guard, the empty series would raise a different ValueError
     (TruncatedEGF.exponential, "truncation order must be non-negative"),
@@ -124,5 +190,7 @@ NEGATIVE_INDEX_MESSAGES = [
     ids=[call.__qualname__ for call, _ in NEGATIVE_INDEX_MESSAGES],
 )
 def test_negative_index_raises_value_error(call, message):
+    before = bellpoly.cache_info()
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(-1)
+    assert bellpoly.cache_info() == before

@@ -2,15 +2,19 @@
 
 perfbench/tracing.py wraps functions and methods by name and counts the
 memo tables through vars(); a rename in the library would break only
-the benchmark's own suite, so the names are pinned here.
+the benchmark's own suite, so the names are pinned here. BENCHMARK.json
+declares one per-layer metric per selfcheck label, which is pinned too.
 """
 
 import importlib
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import bellpoly
+from bellpoly import selfcheck
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +45,13 @@ def test_counted_tables_hold_their_entries_in_vars(tracing):
         assert any(isinstance(v, (list, dict)) for v in vars(table).values()), name
         # the tracer counts what cache_info() counts
         assert tracing.table_size(table) == len(table) > 0, name
+
+
+def test_every_selfcheck_label_has_its_declared_metric(tracing):
+    # A renamed check would otherwise pass here and fail only a traced
+    # benchmark run, with a KeyError on the metric it no longer reports.
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    timed = {e["name"] for e in declared if re.fullmatch(r"selfcheck\..+\.ms", e["name"])}
+    expected = {f"selfcheck.{tracing.slug(label)}.ms" for label, _ in selfcheck.CHECKS}
+    assert len(expected) == len(selfcheck.CHECKS), "two labels share a slug"
+    assert timed == expected
