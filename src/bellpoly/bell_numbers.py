@@ -23,12 +23,12 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .combinatorics import _MemoTable, binomial_rows, stirling_row
+from .combinatorics import _MemoTable, _checked_index, binomial_rows, stirling_row
 from .records import Record
 
 
 class ConsistencyError(ArithmeticError):
-    """An exact cross-check that must hold mathematically failed."""
+    """Two routes or a held-out check disagreed; a bad index raises TypeError or ValueError."""
 
 
 class TruncatedEGF(Record):
@@ -54,8 +54,7 @@ class TruncatedEGF(Record):
     @classmethod
     def exponential(cls, order: int) -> TruncatedEGF:
         """The degree-`order` truncation of exp(x): a_j = 1/j!."""
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
+        order = _checked_index(order, "truncation order must be non-negative")
         return cls([Fraction(1, math.factorial(j)) for j in range(order + 1)])
 
     @property
@@ -63,12 +62,10 @@ class TruncatedEGF(Record):
         return len(self.coeffs) - 1
 
     def integer_coefficient(self, n: int) -> int:
-        """n! * a_n as an exact integer; raises if it is not integral.
-
-        n must lie in 0..order, else ValueError.
-        """
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient {n} is outside the truncation order 0..{self.order}")
+        """n! * a_n for an int n in 0..order; ConsistencyError if it is not an integer."""
+        refusal = f"coefficient {n} is outside the truncation order 0..{self.order}"
+        if _checked_index(n, refusal) > self.order:
+            raise ValueError(refusal)
         value = math.factorial(n) * self.coeffs[n]
         if value.denominator != 1:
             raise ConsistencyError(f"{n}! * a_{n} = {value} is not an integer")
@@ -116,10 +113,9 @@ def bell_via_egf(n: int, m: int) -> int:
     """B(n, m) by m applications of the exponential map to exp(x).
 
     Cost grows linearly in m; the recursion route is the better choice
-    for large m.
+    for large m. Refuses n, then m, as bell_via_recursion does.
     """
-    if n < 0 or m < 0:
-        raise ValueError("Bell numbers need non-negative indices")
+    n, m = _BELL.check(n), _BELL.check(m)
     series = TruncatedEGF.exponential(n)
     for _ in range(m):
         series = egf_iterate(series)

@@ -13,9 +13,10 @@ ones before it: Stirling rows (read one number at a time through
 stirling2, or a whole row S(n, 0..n) through stirling_row), binomial
 rows, Faulhaber polynomials and Bernoulli numbers. clear_caches()
 empties them in place, and cache_info() counts their entries. Every
-index is checked before any read or fill: one that is not an integer
-raises TypeError, a negative one ValueError, and cache_info() stays as
-it was.
+index is checked before any read or fill by _checked_index, the one
+test of what an index is for every public function of the package: one
+that is not an integer raises TypeError, one below the least value the
+caller allows ValueError, and cache_info() stays as it was.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ import threading
 from fractions import Fraction
 
 from .rational_poly import RationalPolynomial
+
+
+def _checked_index(index: int, refusal: str, minimum: int = 0) -> int:
+    """`index` as an int: TypeError if it is not one, ValueError(refusal) below `minimum`."""
+    index = operator.index(index)
+    if index < minimum:
+        raise ValueError(refusal)
+    return index
 
 
 class _MemoTable:
@@ -51,11 +60,7 @@ class _MemoTable:
             self._entries = self._empty()
 
     def check(self, index: int) -> int:
-        """`index` as an int: TypeError if it is not one, ValueError if negative."""
-        index = operator.index(index)
-        if index < 0:
-            raise ValueError(self._refusal)
-        return index
+        return _checked_index(index, self._refusal)
 
 
 class _AppendOnlyTable(_MemoTable):
@@ -155,10 +160,10 @@ def power_sum_oracle(r: int, m: int) -> int:
     """1**r + 2**r + ... + m**r by direct summation.
 
     Deliberately naive: this is the independent check for
-    faulhaber_polynomial.
+    faulhaber_polynomial. Checks r, then m.
     """
-    if r < 0 or m < 0:
-        raise ValueError("power sums need non-negative arguments")
+    refusal = "power sums need non-negative arguments"
+    r, m = _checked_index(r, refusal), _checked_index(m, refusal)
     return sum(k ** r for k in range(1, m + 1))
 
 

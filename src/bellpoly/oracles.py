@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bell_numbers import TruncatedEGF
+from .combinatorics import _checked_index
 
 def partition_block_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of partitions of an n-set into exactly k blocks.
@@ -21,8 +22,7 @@ def partition_block_counts(n: int) -> tuple[int, ...]:
     nothing between calls; the n = 12 run walks the 678,570 partitions
     of 11 elements.
     """
-    if n < 0:
-        raise ValueError("set size must be non-negative")
+    n = _checked_index(n, "set size must be non-negative")
     counts = [0] * (n + 1)
     if n <= 1:
         counts[n] = 1  # the empty partition, or the one block {1}

@@ -17,27 +17,28 @@ coefficient n!/2**(n-1). Two independent constructions are provided:
   is ever shifted.
 
 The two must agree coefficient for coefficient; any mismatch raises
-ConsistencyError rather than being silently ignored.
-
+ConsistencyError. That error means only that two routes or a held-out
+check disagreed: every function here first refuses a non-integer index
+with TypeError, and one below its least value with ValueError.
 bell_via_polynomial evaluates the constructed polynomial at m, a value
 route whose cost does not grow with m.
 
 Only the interpolation route is memoized, in an append-only table of
 the fits B_1, B_2, ... in order of n, emptied by clear_caches(). The
-telescoping construction builds every level from Stirling rows and
-power sums, and reads the fits only to check each level. As with the
-recursion grid, a fault injected into the samples after a fit is
-stored goes unseen until clear_caches().
+telescoping build, _telescoped_levels, reads Stirling rows and power
+sums only; construct_bell_polynomial reads the fits to check each level.
+As with the recursion grid, a fault injected into the samples after a
+fit is stored goes unseen until clear_caches().
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .bell_numbers import ConsistencyError, bell_via_recursion
-from .combinatorics import _AppendOnlyTable, faulhaber_polynomial, stirling_row
+from .bell_numbers import _BELL, ConsistencyError, bell_via_recursion
+from .combinatorics import _AppendOnlyTable, _checked_index, faulhaber_polynomial, stirling_row
 from .rational_poly import RationalPolynomial
 from .records import Record
 
@@ -67,8 +68,7 @@ def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     call fits every level below n too: two to three times the work of
     B_n alone at n = 64. A fault injected into the samples after a fit
     is stored stays unseen until clear_caches(); a fit that fails its
-    check stores nothing, and the fits below it stay. A non-integer n
-    raises TypeError, a negative one ValueError, before any fit.
+    check stores nothing, and the fits below it stay.
     """
     return _FITS[n]
 
@@ -138,9 +138,7 @@ def _forward_difference(n: int, lower: Sequence[BellPolynomial]) -> RationalPoly
     return total
 
 
-def difference_polynomial(
-    n: int, lower: Sequence[BellPolynomial]
-) -> RationalPolynomial:
+def difference_polynomial(n: int, lower: Sequence[BellPolynomial]) -> RationalPolynomial:
     """The polynomial d with d(m) = B(n, m) - B(n, m-1), for n >= 2.
 
     By the Stirling recursion d(m) = D(m-1), where D is the forward
@@ -150,15 +148,14 @@ def difference_polynomial(
     positive leading coefficient; anything else raises
     ConsistencyError.
     """
-    if n < 2:
-        raise ValueError("difference polynomials are defined for n >= 2")
+    n = _checked_index(n, "difference polynomials are defined for n >= 2", 2)
     if len(lower) < n - 1 or any(lower[k - 1].n != k for k in range(1, n)):
         raise ValueError("lower must hold the Bell polynomials for 1..n-1 in order")
     return _forward_difference(n, lower).shift(-1)
 
 
-def construct_bell_polynomial(n: int) -> BellPolynomial:
-    """Build the Bell polynomial from differences and power sums.
+def _telescoped_levels(n: int) -> Iterator[BellPolynomial]:
+    """B_1, ..., B_n from differences and power sums, one level at a time.
 
     Bottom-up over j = 1..n. With D(m) = B(j, m+1) - B(j, m), the
     Stirling-weighted sum of the unshifted lower levels, and B(j, 0) = 1,
@@ -169,11 +166,8 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
     where D_r are D's coefficients and P_r(m) = sum(k**r for k in 1..m)
     is the power-sum polynomial. The sum runs in integers: D's integer
     numerators weight the P_r over D's one denominator. Each P_r is
-    built once and no level is shifted. Every level is checked against
-    the interpolation route; any coefficient mismatch raises
-    ConsistencyError.
+    built once, no level is shifted and no fit is read.
     """
-    n = _FITS.check(n)  # refused as interpolate_bell_polynomial refuses it
     levels: list[BellPolynomial] = []
     power_sums: list[RationalPolynomial] = []  # P_0, ..., P_{j-2}
     for j in range(1, n + 1):
@@ -186,24 +180,30 @@ def construct_bell_polynomial(n: int) -> BellPolynomial:
             poly = RationalPolynomial.linear_combination(
                 [(den + nums[0], _ONE), *zip(nums, power_sums), (-den, diff)], den
             )
-        reference = interpolate_bell_polynomial(j)
-        if poly != reference.poly:
-            raise ConsistencyError(
-                f"telescoping construction for n={j} disagrees with "
-                f"interpolation: {poly!r} vs {reference.poly!r}"
-            )
         levels.append(BellPolynomial(j, poly))
-    return levels[-1] if n else _B0
+        yield levels[-1]
+
+
+def construct_bell_polynomial(n: int) -> BellPolynomial:
+    """B_n from _telescoped_levels, each level checked against its interpolation as it comes."""
+    level = _B0
+    for level in _telescoped_levels(_FITS.check(n)):  # refused as the fits refuse it
+        reference = interpolate_bell_polynomial(level.n).poly
+        if level.poly != reference:
+            raise ConsistencyError(
+                f"telescoping construction for n={level.n} disagrees with "
+                f"interpolation: {level.poly!r} vs {reference!r}"
+            )
+    return level
 
 
 def bell_via_polynomial(n: int, m: int) -> int:
     """B(n, m) by evaluating the telescoped Bell polynomial at m.
 
-    Cost grows with n but not with m. A non-integer value means the
-    construction is broken and raises ConsistencyError.
+    Cost grows with n but not with m. Refuses n, then m (a rational m too)
+    as bell_via_recursion does; a non-integer value raises ConsistencyError.
     """
-    if n < 0 or m < 0:
-        raise ValueError("Bell numbers need non-negative indices")
+    n, m = _BELL.check(n), _BELL.check(m)
     value = construct_bell_polynomial(n).poly.evaluate(m)
     if value.denominator != 1:
         raise ConsistencyError(f"B({n}, {m}) evaluated to non-integer {value}")
@@ -212,8 +212,7 @@ def bell_via_polynomial(n: int, m: int) -> int:
 
 def leading_coefficient(n: int) -> Fraction:
     """Top coefficient n!/2**(n-1) of the Bell polynomial, in closed form."""
-    if n < 1:
-        raise ValueError("leading coefficients start at n = 1")
+    n = _checked_index(n, "leading coefficients start at n = 1", 1)
     return Fraction(math.factorial(n), 2 ** (n - 1))
 
 
@@ -235,8 +234,7 @@ def verify_theorem(n: int) -> Fraction:
     B_n(m) = sum(m**k/k! * n! [x**n] D**k e**x), and D**k 1 = 0 while
     D**k x = (k!/2**k) x**(k+1) + ..., so the top is n!/(n-1)! * (n-1)!/2**(n-1).
     """
-    if n < 1:
-        raise ValueError("the leading-coefficient law starts at n = 1")
+    n = _checked_index(n, "the leading-coefficient law starts at n = 1", 1)
     fitted = interpolate_bell_polynomial(n).poly.leading_coefficient()
     closed = leading_coefficient(n)
     halved = Fraction(
@@ -262,9 +260,9 @@ class AsymptoticReport(Record):
 
 
 def asymptotic_report(n: int, m: int) -> AsymptoticReport:
-    """Compare the exact value with the leading term; ratio -> 1 as m grows."""
-    if n < 1 or m < 1:
-        raise ValueError("asymptotic reports need n >= 1 and m >= 1")
+    """Compare the exact value with the leading term; ratio -> 1 as m grows. Checks n, then m."""
+    refusal = "asymptotic reports need n >= 1 and m >= 1"
+    n, m = _checked_index(n, refusal, 1), _checked_index(m, refusal, 1)
     exact = bell_via_polynomial(n, m)
     leading = leading_coefficient(n) * m ** (n - 1)
     return AsymptoticReport(exact=exact, leading=leading, ratio=Fraction(exact) / leading)

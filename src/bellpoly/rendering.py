@@ -14,6 +14,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .bell_numbers import bell_via_egf, bell_via_recursion
+from .combinatorics import _checked_index
 from .polynomial import (
     asymptotic_report,
     bell_via_polynomial,
@@ -33,10 +34,9 @@ def decimal_expansion(value: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` places, by exact long division.
 
     The final digit is rounded half to even; everything before it is
-    exact.
+    exact. `digits` must be an int (else TypeError), at least 0.
     """
-    if digits < 0:
-        raise ValueError("digits must be non-negative")
+    digits = _checked_index(digits, "digits must be non-negative")
     num, den = value.numerator, value.denominator
     sign = "-" if num < 0 else ""
     scaled, rem = divmod(abs(num) * 10 ** digits, den)
@@ -122,9 +122,9 @@ def _document(
 
 
 def render_table(n_max: int, m_max: int, fmt: str) -> str:
-    """The grid of B(n, m) for 1 <= n <= n_max, 1 <= m <= m_max."""
-    if n_max < 1 or m_max < 1:
-        raise ValueError("table bounds must be at least 1")
+    """The grid of B(n, m) for 1 <= n <= n_max, 1 <= m <= m_max; checks n_max, then m_max."""
+    refusal = "table bounds must be at least 1"
+    n_max, m_max = _checked_index(n_max, refusal, 1), _checked_index(m_max, refusal, 1)
     bell_via_recursion(n_max, m_max)  # one fill; every cell below is then a hit
     grid = [
         (m, [str(bell_via_recursion(n, m)) for n in range(1, n_max + 1)])

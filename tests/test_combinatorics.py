@@ -239,13 +239,16 @@ def test_cache_info_counts_every_table():
 EGF_TABLES = {"binomial_rows"}
 RECURSION_TABLES = {"stirling_rows", "recursion_cells"}
 INTERPOLATION_TABLES = RECURSION_TABLES | {"interpolated_polynomials"}
-TELESCOPING_TABLES = INTERPOLATION_TABLES | {"faulhaber_polynomials"}
+BUILD_TABLES = {"stirling_rows", "faulhaber_polynomials"}
+TELESCOPING_TABLES = INTERPOLATION_TABLES | BUILD_TABLES
 ROUTES = {
     "bell_via_egf": (lambda: bell_via_egf(5, 3), EGF_TABLES),
     "bell_via_recursion": (lambda: bell_via_recursion(5, 3), RECURSION_TABLES),
     "interpolate_bell_polynomial": (lambda: interpolate_bell_polynomial(6), INTERPOLATION_TABLES),
     "verify_theorem": (lambda: verify_theorem(6), INTERPOLATION_TABLES),
     "construct_bell_polynomial": (lambda: construct_bell_polynomial(6), TELESCOPING_TABLES),
+    # the telescoping build alone, without its check against the fits
+    "_telescoped_levels": (lambda: list(polynomial._telescoped_levels(6)), BUILD_TABLES),
     "bell_via_polynomial": (lambda: bell_via_polynomial(6, 3), TELESCOPING_TABLES),
     "asymptotic_report": (lambda: asymptotic_report(6, 10), TELESCOPING_TABLES),
     "leading_coefficient": (lambda: leading_coefficient(6), set()),
@@ -268,12 +271,15 @@ def test_route_memo_footprint(route):
 
 def test_route_independence():
     assert not footprint("bell_via_egf") & footprint("bell_via_recursion")
-    # Known gap, ROADMAP item 7: the telescoping construction checks each
-    # level against the interpolation, and its own build reads the Stirling
-    # rows that the interpolation's samples read. Item 7 makes the two
-    # polynomial routes disjoint, and this overlap assertion goes with it.
+    # The construction checks each level against the interpolation, so the
+    # two share every table the interpolation fills.
     overlap = footprint("interpolate_bell_polynomial") & footprint("construct_bell_polynomial")
     assert overlap == INTERPOLATION_TABLES
+    # Known gap, ROADMAP item 7: the telescoping build, without its check,
+    # reads the Stirling rows that the interpolation's samples read. Item 7
+    # makes the build and the interpolation disjoint, and this pin goes.
+    overlap = footprint("interpolate_bell_polynomial") & footprint("_telescoped_levels")
+    assert overlap == {"stirling_rows"}
 
 
 def module_containers():
