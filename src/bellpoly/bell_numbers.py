@@ -127,8 +127,10 @@ class BellTable(_MemoTable):
 
     A dict keyed by (n, m) on the memo-table base, which brings the
     fill lock, `len` and `clear`. The m = 0 row and n = 0 column are
-    identically 1 and never stored. The base's `check` refuses a bad
-    index before the grid is read.
+    identically 1 and never stored. A miss at (n, m) fills the rectangle
+    [1..n] x [1..m] from m = 0, so a caller that reads many cells asks
+    for the largest first and fills once. The base's `check` refuses a
+    bad index before the grid is read.
     """
 
     _empty = dict
@@ -149,22 +151,13 @@ class BellTable(_MemoTable):
     def _fill(entries: dict[tuple[int, int], int], n: int, m: int) -> None:
         """Store every missing B(nn, mm) with nn <= n and mm <= m.
 
-        Every fill stores a whole rectangle [1..n] x [1..m], so the stored
-        cells form a staircase: if (n, mm) is stored, so is every
-        (nn, mm') with nn <= n and mm' <= mm. The fill starts from the
-        highest such m-row, carried as the list B(0..n, mm) (the all-ones
-        row m = 0 if there is none), and reads the Stirling row
+        The fill runs up from the all-ones row m = 0, carried as the list
+        B(0..n, mm). It reads a stored cell as it is, and the Stirling row
         S(nn, 0..nn) only for a missing cell. S(nn, 0) = 0 weights
         B(0, mm) = 1, so a row lines up with the list as is.
         """
-        start = m - 1
-        while start > 0 and (n, start) not in entries:
-            start -= 1
-        if start:
-            previous = [1, *[entries[(nn, start)] for nn in range(1, n + 1)]]
-        else:
-            previous = [1] * (n + 1)
-        for mm in range(start + 1, m + 1):
+        previous = [1] * (n + 1)
+        for mm in range(1, m + 1):
             row = [1]
             for nn in range(1, n + 1):
                 total = entries.get((nn, mm))

@@ -66,18 +66,18 @@ class _MemoTable:
 class _AppendOnlyTable(_MemoTable):
     """Entries 0, 1, 2, ... of a sequence, each computed once on demand.
 
-    `build(entries)` returns the next entry from the stored ones; nothing
-    is evicted. The fixed `head` entries come first and are never stored.
+    `build(entries)` returns entry i from the stored entries 0..i-1.
+    Every entry is stored, and nothing is evicted.
     """
 
-    def __init__(self, build, refusal: str, head: tuple = ()):
+    def __init__(self, build, refusal: str):
         super().__init__()
-        self._build, self._refusal, self._head = build, refusal, head
+        self._build, self._refusal = build, refusal
 
     def __getitem__(self, index: int):
         """Entry `index`, filling the table up to it."""
-        index = self.check(index) - len(self._head)
-        return self._head[index] if index < 0 else self._fill(index + 1)[index]
+        index = self.check(index)
+        return self._fill(index + 1)[index]
 
     def prefix(self, count: int) -> list:
         """A new list of the first `count` stored entries."""

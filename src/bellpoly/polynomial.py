@@ -24,7 +24,8 @@ bell_via_polynomial evaluates the constructed polynomial at m, a value
 route whose cost does not grow with m.
 
 Only the interpolation route is memoized, in an append-only table of
-the fits B_1, B_2, ... in order of n, emptied by clear_caches(). The
+the fits B_1, B_2, ... in order of n, emptied by clear_caches(); B_0,
+the constant 1, is answered as it is and never stored. The
 telescoping build, _telescoped_levels, reads Stirling rows and power
 sums only; construct_bell_polynomial reads the fits to check each level.
 As with the recursion grid, a fault injected into the samples after a
@@ -63,14 +64,16 @@ class BellPolynomial(Record):
 def interpolate_bell_polynomial(n: int) -> BellPolynomial:
     """The unique degree-(n-1) polynomial through B(n, 0), ..., B(n, n-1).
 
-    The fits are stored in order of n, each once its held-out check
-    passes, and later calls return the stored BellPolynomial. So a cold
-    call fits every level below n too: two to three times the work of
-    B_n alone at n = 64. A fault injected into the samples after a fit
-    is stored stays unseen until clear_caches(); a fit that fails its
-    check stores nothing, and the fits below it stay.
+    B_0 is the constant 1 and is never fitted. The fits B_1, B_2, ...
+    are stored in order of n, each once its held-out check passes, and
+    later calls return the stored BellPolynomial. So a cold call fits
+    every level below n too: two to three times the work of B_n alone
+    at n = 64. A fault injected into the samples after a fit is stored
+    stays unseen until clear_caches(); a fit that fails its check
+    stores nothing, and the fits below it stay.
     """
-    return _FITS[n]
+    n = _FITS.check(n)
+    return _FITS[n - 1] if n else _B0
 
 
 def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
@@ -85,12 +88,14 @@ def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
         w_0 + m*(w_1 + (m-1)*(w_2 + ... + (m-n+2)*w_{n-1}))
 
     and expanded innermost term first, one multiplication by (m - k)
-    per step, all in integers in one list. The fresh sample at m = n
+    per step, all in integers in one list. The held-out sample at m = n
     must land on the fitted polynomial; a mismatch would mean the
     polynomial form does not hold (or the arithmetic is broken) and
-    raises ConsistencyError.
+    raises ConsistencyError. It is read first: its one fill of the
+    recursion grid stores every sample below it.
     """
     n = len(fits) + 1
+    expected = bell_via_recursion(n, n)
     c = [bell_via_recursion(n, mm) for mm in range(n)]
     for k in range(1, n):  # c[k] becomes the k-th forward difference a_k
         for i in range(n - 1, k - 1, -1):
@@ -106,7 +111,6 @@ def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
             c[i] -= k * c[i + 1]
     poly = RationalPolynomial.from_numerators(c, math.factorial(n - 1))
     held_out = poly.evaluate(n)
-    expected = bell_via_recursion(n, n)
     if held_out != expected:
         raise ConsistencyError(
             f"interpolation for n={n} gives {held_out} at m={n}, "
@@ -116,7 +120,7 @@ def _fit_bell_polynomial(fits: list[BellPolynomial]) -> BellPolynomial:
 
 
 _B0 = BellPolynomial(0, _ONE)  # B_0, the constant 1
-_FITS = _AppendOnlyTable(_fit_bell_polynomial, "n must be non-negative", (_B0,))  # entry n is B_n
+_FITS = _AppendOnlyTable(_fit_bell_polynomial, "n must be non-negative")  # entry i is B_(i+1)
 
 
 def _forward_difference(n: int, lower: Sequence[BellPolynomial]) -> RationalPolynomial:

@@ -116,8 +116,18 @@ class TestValues:
         for m, row in KNOWN_GRID.items():
             assert [scattered.value(n, m) for n in range(1, 9)] == row
 
+    def test_fill_stores_exactly_the_cells_asked_for(self):
+        # A fill at (n, m) stores the rectangle [1..n] x [1..m] and no more;
+        # a second fill adds only the cells outside the first.
+        bellpoly.clear_caches()
+        bell_via_recursion(5, 7)
+        assert bellpoly.cache_info()["recursion_cells"] == 5 * 7
+        bell_via_recursion(8, 3)
+        assert bellpoly.cache_info()["recursion_cells"] == 5 * 7 + 8 * 3 - 5 * 3
+        bellpoly.clear_caches()
+
     def test_cell_by_cell_fill_reads_stirling_rows_only_for_missing_cells(self, monkeypatch):
-        # Each fill starts from the highest stored m-row and reads a level's
+        # Each fill runs up from the all-ones row m = 0 and reads a level's
         # Stirling row only for a missing cell: 50 * 20 = 1,000 row reads
         # holding 50 * (1 + ... + 20) = 10,500 weights S(n, 1..n) here, where
         # rebuilding every level's row on each miss read 77,000 weights.

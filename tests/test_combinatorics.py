@@ -32,6 +32,7 @@ from bellpoly import (
     stirling_row,
     verify_theorem,
 )
+from bellpoly.oracles import partition_block_counts
 from bellpoly.rational_poly import RationalPolynomial
 from bellpoly.selfcheck import run_selfcheck
 
@@ -51,6 +52,13 @@ class TestStirling:
             stirling2(-1, 0)
         with pytest.raises(ValueError):
             stirling2(3, -2)
+
+    def test_enumeration_has_one_count_per_block_number(self):
+        # counts[k] for k = 0..n, so the oracle lines up with S(n, 0..n)
+        for n in range(9):
+            counts = partition_block_counts(n)
+            assert len(counts) == n + 1
+            assert counts == stirling_row(n)
 
     def test_row_sums_are_first_order_bell(self):
         # row sums of the triangle count all partitions of an n-set

@@ -369,6 +369,12 @@ class TestInterpolationTable:
         assert interpolate_bell_polynomial(9) is first
         assert bellpoly.cache_info()["interpolated_polynomials"] == 9
 
+    def test_b0_is_the_constant_one_and_is_not_stored(self):
+        clear_caches()
+        assert interpolate_bell_polynomial(0).n == construct_bell_polynomial(0).n == 0
+        assert interpolate_bell_polynomial(0).poly == RationalPolynomial.constant(1)
+        assert bellpoly.cache_info()["interpolated_polynomials"] == 0
+
     def test_cold_call_stores_every_lower_fit_in_order(self):
         clear_caches()
         interpolate_bell_polynomial(9)
@@ -481,6 +487,10 @@ class TestDifferencePolynomial:
         misordered = [interpolate_bell_polynomial(2), interpolate_bell_polynomial(1)]
         with pytest.raises(ValueError):
             difference_polynomial(3, misordered)
+        # lower[0] is checked too, not only the levels above it
+        repeated = [interpolate_bell_polynomial(2), interpolate_bell_polynomial(2)]
+        with pytest.raises(ValueError):
+            difference_polynomial(3, repeated)
 
 
 class TestConstruction:

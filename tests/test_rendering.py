@@ -45,6 +45,10 @@ class TestDecimalExpansion:
         assert decimal_expansion(Fraction(5, 2), 0) == "2"
         assert decimal_expansion(Fraction(1, 2), 0) == "0"
         assert decimal_expansion(Fraction(3, 2), 0) == "2"
+        # ties that truncate to 3 and 4: a parity test other than % 2 fails here
+        assert decimal_expansion(Fraction(7, 2), 0) == "4"
+        assert decimal_expansion(Fraction(9, 2), 0) == "4"
+        assert decimal_expansion(Fraction(-7, 2), 0) == "-4"
 
     def test_negative_values(self):
         assert decimal_expansion(Fraction(-3, 8), 2) == "-0.38"

@@ -7,7 +7,9 @@ constant by +1 or -1. Each mutant runs `python -m bellpoly selfcheck`,
 then pytest on the named test files, against the copy: one child
 process at a time, each under a timeout. A mutant that fails, crashes
 or times out is killed; one that passes both survives, and is printed
-as file:line and its mutation.
+as file:line and its mutation. Each pytest run draws its hypothesis
+examples from one fixed seed and starts from an empty example
+database, so two runs of the tool print the same survivors.
 
     python tools/mutants.py polynomial tests/test_polynomial.py
     python tools/mutants.py combinatorics tests/test_combinatorics.py tests/test_input_guards.py
@@ -31,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bellpoly"
 TIMEOUT = 60  # seconds per child process; the slowest test file takes a few
+SEED = 0  # --hypothesis-seed of every pytest run
 
 FLIPS = {
     ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==",
@@ -104,10 +107,18 @@ def main(argv: list[str] | None = None) -> int:
         # the same second would otherwise run from the last one's .pyc.
         env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
         selfcheck = [sys.executable, "-m", "bellpoly", "selfcheck"]
-        tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args.tests]
+        tests = [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            f"--hypothesis-seed={SEED}", *args.tests,
+        ]
 
         def survives() -> bool:
-            return passes(selfcheck, env) and passes(tests, env)
+            if not passes(selfcheck, env):
+                return False
+            # A fresh example database: a failing example that an earlier
+            # mutant's run saved is never replayed against this one.
+            with tempfile.TemporaryDirectory() as storage:
+                return passes(tests, dict(env, HYPOTHESIS_STORAGE_DIRECTORY=storage))
 
         if not survives():
             print("the unmutated copy fails its checks; nothing to compare", file=sys.stderr)
